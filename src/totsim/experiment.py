@@ -26,6 +26,12 @@ SEED_TAG_METAMEMORY = 1
 SEED_TAG_DAMAGE = 2
 SEED_TAG_TRIAL = 3
 
+# Version of how the random streams are consumed. Output bytes are a
+# function of the resolved config, the seed and this number. 2: the attempt
+# engine draws each component loop as blocks (recall.recall_component) and
+# masked-unit, cue and damage counts are exact floors.
+STREAM_VERSION = 2
+
 _ENUMERATION_CHUNK = 1 << 16
 _MAX_FREE_INDICES = 24
 

@@ -4,12 +4,13 @@ deterministic lexicon construction."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, GenerationError, ParameterError
 from .network import ComponentNetwork, train
-from .patterns import BipolarPattern, SlotMap, hamming, overlap, random_pattern
+from .patterns import BipolarPattern, SlotMap, exact_fraction, hamming, overlap, random_pattern
 
 COMPONENTS = ("semantic", "lexical", "phonological")
 
@@ -160,6 +161,20 @@ class Lexicon:
         if best_score < self.selection_threshold:
             return None
         return best_node, best_score
+
+
+def exact_completeness(semantic_input: BipolarPattern, node: WordNode, bonus: float) -> Fraction:
+    """A selected node's score in exact arithmetic: max(0, overlap / N)
+    plus its priming bonus (see `exact_fraction`), capped at 1.
+
+    `select_node` ranks every node in floats; only the winner's score is
+    recomputed exactly, because masked-unit counts are floors of 1 - c and
+    a float c such as 1 - 0.8 = 0.19999999999999996 would undercount them.
+    """
+    score = Fraction(
+        max(0, overlap(semantic_input, node.truth["semantic"])), len(semantic_input)
+    )
+    return min(Fraction(1), score + exact_fraction(bonus))
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,12 @@ one-pass sign retrieval, and the damage/masking degradation model."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError, TrainingError
-from .patterns import BipolarPattern
+from .patterns import BipolarPattern, floor_count, unit_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,24 +57,27 @@ class ComponentNetwork:
         """The real weight matrix W = w_int / n."""
         return self.w_int / self.n
 
-    def retrieve_once(self, probe: BipolarPattern) -> BipolarPattern:
+    def retrieve_once(self, probe):
         """One synchronous pass: output_i = sgn(sum_j W_ij probe_j).
 
         Tie rule: sgn(0) = +1. Masked units contribute zero on the input
         side and are forced to +1 on the output side. There is no iteration
         to convergence; repetition happens at the attempt level.
+
+        `probe` is one BipolarPattern, answered with one; or a `(rows, n)`
+        block of +1/-1 unit rows, all evaluated in one integer matmul and
+        answered with a `(rows, n)` block of outputs.
         """
-        if len(probe) != self.n:
-            raise DimensionError(f"probe length {len(probe)} != network size {self.n}")
-        x = probe.units
+        x, single = unit_rows(probe)
+        if x.shape[1] != self.n:
+            raise DimensionError(f"probe length {x.shape[1]} != network size {self.n}")
         if self.mask:
             x = x.copy()
-            x[self._mask_arr] = 0
-        h = self.w_int @ x
-        out = np.where(h >= 0, 1, -1).astype(np.int64)
+            x[:, self._mask_arr] = 0
+        out = np.where(x @ self.w_int.T >= 0, 1, -1)
         if self.mask:
-            out[self._mask_arr] = 1
-        return BipolarPattern(out)
+            out[:, self._mask_arr] = 1
+        return BipolarPattern(out[0]) if single else out
 
     def damage(
         self, fraction: float, rng: np.random.Generator, protected=()
@@ -83,12 +85,13 @@ class ComponentNetwork:
         """Zero a uniformly chosen set of symmetric weight pairs.
 
         floor(fraction * P) unordered pairs {i, j} (i <= j, diagonal
-        included) are chosen without replacement from the P eligible pairs
-        and zeroed on both sides. Pairs touching a `protected` unit index
-        are not eligible; with no protection P = n(n+1)/2. Repeated calls
-        draw independently; `damage_fraction` records the latest call.
+        included; the floor is exact, see `floor_count`) are chosen without
+        replacement from the P eligible pairs and zeroed on both sides.
+        Pairs touching a `protected` unit index are not eligible; with no
+        protection P = n(n+1)/2. Repeated calls draw independently;
+        `damage_fraction` records the latest call.
         """
-        if not 0.0 <= fraction <= 1.0:
+        if not 0 <= fraction <= 1:
             raise ParameterError(f"damage fraction must be in [0, 1], got {fraction}")
         prot = frozenset(int(i) for i in protected)
         if prot and (min(prot) < 0 or max(prot) >= self.n):
@@ -98,7 +101,7 @@ class ComponentNetwork:
             prot_arr = np.array(sorted(prot), dtype=np.int64)
             keep = ~(np.isin(iu, prot_arr) | np.isin(ju, prot_arr))
             iu, ju = iu[keep], ju[keep]
-        k = math.floor(fraction * iu.size)
+        k = floor_count(fraction, iu.size)
         sel = rng.choice(iu.size, size=k, replace=False)
         w = self.w_int.copy()
         w[iu[sel], ju[sel]] = 0
@@ -108,11 +111,12 @@ class ComponentNetwork:
     def apply_mask(self, fraction: float, rng: np.random.Generator) -> "ComponentNetwork":
         """Mark floor(fraction * n) uniformly chosen units as deactivated.
 
-        New mask indices are unioned with any existing mask.
+        The floor is exact (see `floor_count`); a Fraction passes through
+        unrounded. New mask indices are unioned with any existing mask.
         """
-        if not 0.0 <= fraction <= 1.0:
+        if not 0 <= fraction <= 1:
             raise ParameterError(f"mask fraction must be in [0, 1], got {fraction}")
-        k = math.floor(fraction * self.n)
+        k = floor_count(fraction, self.n)
         chosen = rng.choice(self.n, size=k, replace=False)
         return ComponentNetwork(
             self.w_int, self.stored, self.damage_fraction, self.mask | set(int(i) for i in chosen)

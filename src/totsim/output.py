@@ -14,7 +14,7 @@ import tempfile
 from pathlib import Path
 
 from .errors import ParameterError
-from .experiment import SummaryRow, TrialRecord
+from .experiment import STREAM_VERSION, SummaryRow, TrialRecord
 
 CSV_SCHEMA_VERSION = 1
 RECORDS_HEADER = (
@@ -185,6 +185,7 @@ def build_metadata(normalized_config: dict, defaults_applied: list[str], fmt: st
         "artifact": "totsim",
         "artifact_version": version,
         "csv_schema_version": CSV_SCHEMA_VERSION,
+        "stream_version": STREAM_VERSION,
         "records_format": fmt,
         "interval_method": "normal approximation, 95% (rate +/- 1.96 * sqrt(rate * (1 - rate) / n))",
         "seed": normalized_config["seed"],

@@ -3,7 +3,10 @@ slot segmentation, and deterministic pattern generation."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -126,11 +129,60 @@ def random_pattern(n: int, rng: np.random.Generator) -> BipolarPattern:
     return BipolarPattern(rng.integers(0, 2, size=n) * 2 - 1)
 
 
-def overlap(a: BipolarPattern, b: BipolarPattern) -> int:
-    """Dot product of two equal-length patterns; ranges over [-N, N]."""
-    if len(a) != len(b):
-        raise DimensionError(f"length mismatch: {len(a)} vs {len(b)}")
-    return int(a.units @ b.units)
+def unit_rows(x) -> tuple[np.ndarray, bool]:
+    """`x` as a 2-D block of unit rows, and whether it was one pattern.
+
+    The attempt engine passes raw `(rows, N)` blocks of +1/-1 integers
+    through its stages; single-pattern callers pass a BipolarPattern and get
+    one back.
+    """
+    if isinstance(x, BipolarPattern):
+        return x.units[None, :], True
+    block = np.asarray(x)
+    if block.ndim != 2:
+        raise DimensionError(f"a unit block must be 2-D, got shape {block.shape}")
+    return block, False
+
+
+def overlap(a, b: BipolarPattern):
+    """Dot product of two equal-length patterns; ranges over [-N, N].
+
+    `a` may also be a `(rows, N)` block of units; then the result is an int
+    array with one overlap per row.
+    """
+    if isinstance(a, BipolarPattern):  # the per-node selection and generation path
+        if len(a) != len(b):
+            raise DimensionError(f"length mismatch: {len(a)} vs {len(b)}")
+        return int(a.units @ b.units)
+    rows, _ = unit_rows(a)
+    if rows.shape[1] != len(b):
+        raise DimensionError(f"length mismatch: {rows.shape[1]} vs {len(b)}")
+    return rows @ b.units
+
+
+_MAX_DENOMINATOR = 10**6
+
+
+@lru_cache(maxsize=4096)
+def exact_fraction(x) -> Fraction:
+    """`x` as an exact rational.
+
+    A Fraction is kept as it is. A float is read as the ratio it was written
+    as: the nearest fraction with denominator at most 10**6, so 0.7 is 7/10,
+    3 / 9 is 1/3 and 0.1 + 0.2 is 3/10. Exact for every decimal with up to
+    six places and every ratio with denominator up to 10**6.
+    """
+    if isinstance(x, Fraction):
+        return x
+    return Fraction(x).limit_denominator(_MAX_DENOMINATOR)
+
+
+@lru_cache(maxsize=4096)
+def floor_count(fraction, total: int) -> int:
+    """floor(fraction * total) in exact arithmetic: how many of `total`
+    units (or weight pairs) a fraction selects. Float floors undercount,
+    e.g. 0.7 * 90 is 62.99999999999999."""
+    return math.floor(exact_fraction(fraction) * total)
 
 
 def hamming(a: BipolarPattern, b: BipolarPattern) -> int:

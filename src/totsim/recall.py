@@ -4,16 +4,21 @@ classification, and attempt-based chronometry."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .lexicon import COMPONENTS, Lexicon
+from .lexicon import COMPONENTS, Lexicon, exact_completeness
 from .network import ComponentNetwork
-from .patterns import BipolarPattern, overlap, slot_match
+from .patterns import BipolarPattern, exact_fraction, floor_count, overlap, slot_match, unit_rows
+
+# Most attempts one block holds, so the engine's memory stays bounded at any
+# max_attempts. Part of the random-stream layout (experiment.STREAM_VERSION).
+_ATTEMPT_CHUNK = 256
 
 
 class Classification(str, Enum):
@@ -118,34 +123,56 @@ def chronometry(attempts: int, spike_ms: float, interval_ms: float) -> float:
     return attempts * spike_ms + (attempts - 1) * interval_ms
 
 
-def generate_probe(
-    reference: BipolarPattern, cue_indices, rng: np.random.Generator
-) -> BipolarPattern:
-    """One retrieval probe: random +1/-1 units with the cue indices clamped
-    to the reference.
+def generate_probe(reference: BipolarPattern, cue_indices, rng: np.random.Generator, rows=None):
+    """Retrieval probes: random +1/-1 units with the cue units clamped to
+    the reference.
 
-    Always consumes len(reference) draws, independent of the cue size.
+    With `rows=None` this draws one probe and returns a BipolarPattern.
+    With `rows` set it draws a `(rows, n)` block of unit rows in one call
+    and returns it as raw integers. `cue_indices` is either one collection
+    of unit indices, clamped in every row, or a `(rows, k)` integer array
+    giving each row its own cue. Always consumes `rows * n` uniforms,
+    independent of the cue.
     """
     n = len(reference)
-    idx = np.asarray(list(cue_indices), dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise DimensionError("cue index out of range")
-    probe = rng.integers(0, 2, size=n) * 2 - 1
-    probe[idx] = reference.units[idx]
-    return BipolarPattern(probe)
+    idx = np.asarray(
+        cue_indices if isinstance(cue_indices, np.ndarray) else list(cue_indices),
+        dtype=np.int64,
+    )
+    probes = np.where(rng.random((1 if rows is None else rows, n)) < 0.5, 1, -1)
+    if idx.size:
+        if idx.min() < 0 or idx.max() >= n:
+            raise DimensionError("cue index out of range")
+        if idx.ndim == 2:
+            probes[np.arange(len(idx))[:, None], idx] = reference.units[idx]
+        else:
+            probes[:, idx] = reference.units[idx]
+    return BipolarPattern(probes[0]) if rows is None else probes
 
 
-def compare(output: BipolarPattern, reference: BipolarPattern) -> bool:
-    """Comparator stage: exact unit-wise equality."""
-    if len(output) != len(reference):
-        raise DimensionError(f"length mismatch: {len(output)} vs {len(reference)}")
-    return output == reference
+def compare(output, reference: BipolarPattern):
+    """Comparator stage: exact unit-wise equality.
+
+    `output` is one pattern (answered with a bool) or a `(rows, n)` block
+    of outputs (answered with one bool per row).
+    """
+    rows, single = unit_rows(output)
+    if rows.shape[1] != len(reference):
+        raise DimensionError(f"length mismatch: {rows.shape[1]} vs {len(reference)}")
+    hits = (rows == reference.units).all(axis=1)
+    return bool(hits[0]) if single else hits
+
+
+def _per_row_cues(rng: np.random.Generator, rows: int, n: int, k: int) -> np.ndarray:
+    """Each row's k cue units, uniform without replacement: the k smallest
+    of a `(rows, n)` block of uniform keys."""
+    return np.argpartition(rng.random((rows, n)), k - 1, axis=1)[:, :k]
 
 
 def recall_component(
     net: ComponentNetwork,
     reference: BipolarPattern,
-    q: float,
+    q: float | Fraction,
     max_attempts: int,
     rng: np.random.Generator,
     *,
@@ -156,38 +183,59 @@ def recall_component(
     """Attempt loop for one component: probe, retrieve once, compare, repeat.
 
     Stops at the first exact match against `reference` or after
-    `max_attempts`. floor(q * N) cue indices are redrawn uniformly per
-    attempt unless explicit `cue_indices` pin them for the whole loop.
+    `max_attempts`. floor(q * N) cue indices (exact, see `floor_count`)
+    are redrawn uniformly per attempt unless explicit `cue_indices` pin
+    them for the whole loop.
+
+    No attempt depends on an earlier one apart from the stop rule, so the
+    attempts run in chunks of up to `_ATTEMPT_CHUNK`: per chunk, one key
+    block for the cues (only when they are redrawn and 0 < k < N), one
+    probe block, one pass and one compare. The stop attempt is the first
+    matching row; otherwise `best_output` is the first row of maximal
+    overlap.
     """
     if len(reference) != net.n:
         raise DimensionError(
             f"reference length {len(reference)} != network size {net.n}"
         )
-    if not 0.0 <= q <= 1.0:
+    if not 0 <= q <= 1:
         raise ParameterError(f"cue fraction must be in [0, 1], got {q}")
     if max_attempts < 1:
         raise ParameterError("max_attempts must be >= 1")
     n = net.n
-    k = math.floor(q * n)
-    best_frac = -1.0
-    best_output: BipolarPattern | None = None
-    for attempt in range(1, max_attempts + 1):
-        idx = rng.choice(n, size=k, replace=False) if cue_indices is None else cue_indices
-        probe = generate_probe(reference, idx, rng)
-        output = net.retrieve_once(probe)
-        frac = overlap(output, reference) / n
-        if frac > best_frac:
-            best_frac, best_output = frac, output
-        if compare(output, reference):
+    k = floor_count(q, n)
+    redraw = cue_indices is None and 0 < k < n
+    if cue_indices is None:
+        cue_indices = range(k)  # k is 0 or n: no cue or the whole pattern
+    best_score, best_row = None, None
+    done = 0
+    while done < max_attempts:
+        rows = min(_ATTEMPT_CHUNK, max_attempts - done)
+        cues = _per_row_cues(rng, rows, n, k) if redraw else cue_indices
+        probes = generate_probe(reference, cues, rng, rows)
+        outputs = net.retrieve_once(probes)
+        hits = compare(outputs, reference)
+        if hits.any():
+            first = int(hits.argmax())
+            attempts = done + first + 1
             return ComponentOutcome(
-                True, attempt, 1.0, chronometry(attempt, spike_ms, interval_ms), output
+                True,
+                attempts,
+                1.0,
+                chronometry(attempts, spike_ms, interval_ms),
+                BipolarPattern(outputs[first]),
             )
+        scores = overlap(outputs, reference)
+        top = int(scores.argmax())
+        if best_score is None or scores[top] > best_score:
+            best_score, best_row = int(scores[top]), outputs[top]
+        done += rows
     return ComponentOutcome(
         False,
         max_attempts,
-        best_frac,
+        best_score / n,
         chronometry(max_attempts, spike_ms, interval_ms),
-        best_output,
+        BipolarPattern(best_row),
     )
 
 
@@ -211,6 +259,13 @@ def is_strong(tot_strength: float, strength_threshold: float) -> bool:
     return tot_strength >= strength_threshold
 
 
+@lru_cache(maxsize=1024)
+def effective_cue(q: float, gain: float) -> Fraction:
+    """A component's cue fraction min(1, q + gain) in exact arithmetic
+    (see `exact_fraction`), so 0.5 + 0.2 is exactly 7/10."""
+    return min(Fraction(1), exact_fraction(q) + exact_fraction(gain))
+
+
 def recall_word(
     lex: Lexicon,
     semantic_input: BipolarPattern,
@@ -221,13 +276,17 @@ def recall_word(
     """One full recall episode: selection, masking, component cascade.
 
     Selection completeness c masks floor((1 - c) * n) units of each
-    component network for this episode. Components run in the order
-    semantic, lexical, phonological; each gets cue fraction
-    min(1, q + link_gain * [previous resolved]) and the cascade stops at the
-    first component that fails to resolve (later components count as
+    component network for this episode, with c taken exactly (see
+    `exact_completeness`). Components run in the order semantic, lexical,
+    phonological; each gets cue fraction min(1, q + link_gain * [previous
+    resolved]), summed exactly (see `effective_cue`), and the cascade stops
+    at the first component that fails to resolve (later components count as
     unattempted), so Resolved means all three resolved and a selected word
     whose phonological form did not resolve is a TOT.
     """
+    # Read before selecting: without explicit bonuses selection consumes a
+    # decay step of the lexicon's priming state.
+    used_bonuses = lex.effective_bonuses() if bonuses is None else bonuses
     selection = lex.select_node(semantic_input, bonuses=bonuses)
     if selection is None:
         return RecallOutcome(
@@ -241,7 +300,9 @@ def recall_word(
             total_time_ms=0.0,
         )
     node, completeness = selection
-    mask_fraction = 1.0 - completeness
+    mask_fraction = 1 - exact_completeness(
+        semantic_input, node, used_bonuses.get(node.id, 0.0)
+    )
     episode_nets = {}
     for comp in COMPONENTS:
         net = node.components[comp]
@@ -255,10 +316,10 @@ def recall_word(
             outcomes[comp] = skipped_outcome()
             continue
         gain = params.link_gain if (i > 0 and previous_resolved) else 0.0
-        q_eff = min(1.0, params.cue_fraction[comp] + gain)
+        q_eff = effective_cue(params.cue_fraction[comp], gain)
         fixed_idx = None
         if params.fixed_cue_per_episode:
-            k = math.floor(q_eff * episode_nets[comp].n)
+            k = floor_count(q_eff, episode_nets[comp].n)
             fixed_idx = rng.choice(episode_nets[comp].n, size=k, replace=False)
         outcome = recall_component(
             episode_nets[comp],

@@ -12,129 +12,21 @@ the stochastic engine exactly.
 
 __version__ = "0.1.0"
 
-from .config import load_config, load_raw_config, normalized_dict, parse_config
-from .errors import (
-    CapacityError,
-    ConfigError,
-    DimensionError,
-    GenerationError,
-    ParameterError,
-    TotsimError,
-    TrainingError,
-)
-from .experiment import (
-    CorruptionEntry,
-    DamagePlanEntry,
-    PrimingEntry,
-    ScenarioConfig,
-    SummaryRow,
-    SweepGrid,
-    SweepPoint,
-    TrialRecord,
-    build_scenario_lexicon,
-    damaged_lexicon,
-    exact_success_prob,
-    materialize_bonuses,
-    mean_success_prob_under_damage,
-    run_one_trial,
-    run_trials,
-    summarize,
-    sweep_points,
-    validate_record_rows,
-)
-from .lexicon import (
-    COMPONENTS,
-    GeneratorSpec,
-    Lexicon,
-    LexiconSpec,
-    WordNode,
-    WordSpec,
-    build_lexicon,
-    corrupt_metamemory,
-)
-from .network import ComponentNetwork, train
-from .patterns import (
-    BipolarPattern,
-    SlotMap,
-    flip_by_rate,
-    hamming,
-    overlap,
-    random_pattern,
-    slot_match,
-)
-from .recall import (
-    Classification,
-    ComponentOutcome,
-    RecallOutcome,
-    RecallParams,
-    chronometry,
-    classify_outcome,
-    compare,
-    generate_probe,
-    is_strong,
-    recall_component,
-    recall_word,
-    skipped_outcome,
-)
+# The names the README quickstart uses; everything else imports from its
+# submodule (totsim.config, totsim.experiment, totsim.lexicon, ...).
+from .config import parse_config
+from .experiment import exact_success_prob, run_trials, summarize
+from .network import train
+from .patterns import random_pattern
+from .recall import recall_component
 
 __all__ = [
     "__version__",
-    "BipolarPattern",
-    "CapacityError",
-    "Classification",
-    "ComponentNetwork",
-    "ComponentOutcome",
-    "ConfigError",
-    "CorruptionEntry",
-    "COMPONENTS",
-    "DamagePlanEntry",
-    "DimensionError",
-    "GenerationError",
-    "GeneratorSpec",
-    "Lexicon",
-    "LexiconSpec",
-    "ParameterError",
-    "PrimingEntry",
-    "RecallOutcome",
-    "RecallParams",
-    "ScenarioConfig",
-    "SlotMap",
-    "SummaryRow",
-    "SweepGrid",
-    "SweepPoint",
-    "TotsimError",
-    "TrainingError",
-    "TrialRecord",
-    "WordNode",
-    "WordSpec",
-    "build_lexicon",
-    "build_scenario_lexicon",
-    "chronometry",
-    "classify_outcome",
-    "compare",
-    "corrupt_metamemory",
-    "damaged_lexicon",
     "exact_success_prob",
-    "flip_by_rate",
-    "generate_probe",
-    "hamming",
-    "is_strong",
-    "load_config",
-    "load_raw_config",
-    "materialize_bonuses",
-    "mean_success_prob_under_damage",
-    "normalized_dict",
-    "overlap",
     "parse_config",
     "random_pattern",
     "recall_component",
-    "recall_word",
-    "run_one_trial",
     "run_trials",
-    "skipped_outcome",
-    "slot_match",
     "summarize",
-    "sweep_points",
     "train",
-    "validate_record_rows",
 ]

@@ -372,9 +372,18 @@ def _parse_sweep(raw: dict, damage: tuple) -> SweepGrid | None:
             continue
         if not values:
             raise ConfigError(_join("sweep", key), "grid must be non-empty")
-        axes[key] = tuple(
-            _as_number(v, f"sweep.{key}[{i}]", lo=0.0, hi=1.0) for i, v in enumerate(values)
-        )
+        parsed: list[float] = []
+        for i, v in enumerate(values):
+            path = f"sweep.{key}[{i}]"
+            x = _as_number(v, path, lo=0.0, hi=1.0)
+            if x in parsed:
+                # Two equal grid values would be two sweep points with the
+                # same coordinates, which the summary could not tell apart.
+                raise ConfigError(
+                    path, f"repeats sweep.{key}[{parsed.index(x)}]; values must be distinct"
+                )
+            parsed.append(x)
+        axes[key] = tuple(parsed)
     if all(v is None for v in axes.values()):
         raise ConfigError("sweep", "declare at least one axis (q, d, flip_rate)")
     if axes["d"] is not None and not damage:
@@ -453,11 +462,6 @@ def load_raw_config(path) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}") from exc
-
-
-def load_config(path) -> tuple[ScenarioConfig, list[str]]:
-    """Read and validate a JSON scenario file."""
-    return parse_config(load_raw_config(path))
 
 
 def normalized_dict(cfg: ScenarioConfig) -> dict:

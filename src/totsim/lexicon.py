@@ -3,8 +3,10 @@ deterministic lexicon construction."""
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -15,6 +17,9 @@ from .patterns import BipolarPattern, SlotMap, exact_fraction, hamming, overlap,
 COMPONENTS = ("semantic", "lexical", "phonological")
 
 _GENERATION_RETRY_BUDGET = 1000
+
+# Priming bonuses of a trial without priming.
+NO_BONUSES: Mapping[str, float] = MappingProxyType({})
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,18 +63,12 @@ class WordNode:
         return self.components[component].n
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Lexicon:
-    """All word nodes plus the selection threshold and priming state.
-
-    Nodes are immutable; `priming_state` is the only mutable part. Trials
-    running in parallel must snapshot effective bonuses up front instead of
-    sharing the decaying state.
-    """
+    """All word nodes plus the selection threshold."""
 
     nodes: tuple[WordNode, ...]
     selection_threshold: float
-    priming_state: dict[str, list[list]] = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0.0 < self.selection_threshold <= 1.0:
@@ -95,51 +94,16 @@ class Lexicon:
             raise ConfigError("lexicon", "lexicon has no word nodes")
         return self.nodes[0].component_length(component)
 
-    def effective_bonuses(self) -> dict[str, float]:
-        """Current priming bonus per word id (entries still within decay)."""
-        out: dict[str, float] = {}
-        for word_id, entries in self.priming_state.items():
-            total = sum(bonus for bonus, remaining in entries if remaining > 0)
-            if total > 0:
-                out[word_id] = total
-        return out
-
-    def prime(self, word_id: str, bonus: float, decay_trials: int) -> "Lexicon":
-        """Grant `word_id` a selection bonus for the next `decay_trials` selections."""
-        self.node_by_id(word_id)
-        if not 0.0 <= bonus <= 1.0:
-            raise ParameterError(f"priming bonus must be in [0, 1], got {bonus}")
-        if decay_trials < 0:
-            raise ParameterError("decay_trials must be >= 0")
-        if bonus > 0 and decay_trials > 0:
-            self.priming_state.setdefault(word_id, []).append([bonus, decay_trials])
-        return self
-
-    def _decay_priming(self) -> None:
-        for word_id in list(self.priming_state):
-            entries = [
-                [bonus, remaining - 1]
-                for bonus, remaining in self.priming_state[word_id]
-                if remaining - 1 > 0
-            ]
-            if entries:
-                self.priming_state[word_id] = entries
-            else:
-                del self.priming_state[word_id]
-
     def select_node(
-        self, semantic_input: BipolarPattern, bonuses: dict[str, float] | None = None
+        self, semantic_input: BipolarPattern, bonuses: Mapping[str, float] = NO_BONUSES
     ):
         """Stage-one word node selection from semantic input.
 
-        Each node scores max(0, overlap / N) plus its priming bonus, capped
-        at 1. The highest score wins (ties to the lexicographically smallest
-        id) and doubles as the selection completeness; below the threshold
-        nothing is selected and None is returned.
-
-        When `bonuses` is None the lexicon's own priming state is used and
-        one decay step is consumed; passing an explicit mapping leaves the
-        state untouched (snapshot mode for parallel trials).
+        Each node scores max(0, overlap / N) plus its priming bonus from
+        `bonuses` (absent ids get none), capped at 1. The highest score wins
+        (ties to the lexicographically smallest id) and doubles as the
+        selection completeness; below the threshold nothing is selected and
+        None is returned.
         """
         if not self.nodes:
             raise ConfigError("lexicon", "lexicon has no word nodes")
@@ -148,9 +112,6 @@ class Lexicon:
             raise DimensionError(
                 f"semantic input length {len(semantic_input)} != lexicon length {n}"
             )
-        if bonuses is None:
-            bonuses = self.effective_bonuses()
-            self._decay_priming()
         best_node = None
         best_score = -1.0
         for node in self.nodes:

@@ -11,16 +11,14 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import asdict
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import ParameterError
 from .experiment import STREAM_VERSION, SummaryRow, TrialRecord
 
 CSV_SCHEMA_VERSION = 1
-RECORDS_HEADER = (
-    "trial,sweep_q,sweep_d,episode,classification,sel_completeness,"
-    "att_sem,att_lex,att_phon,tot_strength,slot_first_letter,total_time_ms,seed_child"
-)
 
 
 def fmt_float(x: float) -> str:
@@ -30,6 +28,46 @@ def fmt_float(x: float) -> str:
 
 def fmt_ms(x: float) -> str:
     return f"{x:.3f}"
+
+
+def fmt_flag(x: bool) -> str:
+    return "1" if x else "0"
+
+
+def parse_flag(text: str) -> bool:
+    return bool(int(text))
+
+
+# The records CSV, column by column: (name, parse type, format). A
+# `slot_<name>` column reads that slot of `partial_info`; every other column
+# is the `TrialRecord` field of its name. The CSV leaves out `flip_rate` and
+# every slot but `first_letter`; the JSON records carry them.
+RECORD_COLUMNS = (
+    ("trial", int, str),
+    ("sweep_q", float, fmt_float),
+    ("sweep_d", float, fmt_float),
+    ("episode", int, str),
+    ("classification", str, str),
+    ("sel_completeness", float, fmt_float),
+    ("att_sem", int, str),
+    ("att_lex", int, str),
+    ("att_phon", int, str),
+    ("tot_strength", float, fmt_float),
+    ("slot_first_letter", parse_flag, fmt_flag),
+    ("total_time_ms", float, fmt_ms),
+    ("seed_child", str, str),
+)
+RECORDS_HEADER = ",".join(name for name, _, _ in RECORD_COLUMNS)
+
+
+def _cell_getter(name: str):
+    if name.startswith("slot_"):
+        slot = name[len("slot_"):]
+        return lambda record: record.partial_info.get(slot, False)
+    return attrgetter(name)
+
+
+_RECORD_CELLS = tuple((_cell_getter(name), fmt) for name, _, fmt in RECORD_COLUMNS)
 
 
 def _atomic_write(path, text: str) -> None:
@@ -46,23 +84,7 @@ def _atomic_write(path, text: str) -> None:
 
 
 def record_row(record: TrialRecord) -> str:
-    return ",".join(
-        (
-            str(record.trial),
-            fmt_float(record.sweep_q),
-            fmt_float(record.sweep_d),
-            str(record.episode),
-            record.classification,
-            fmt_float(record.sel_completeness),
-            str(record.att_sem),
-            str(record.att_lex),
-            str(record.att_phon),
-            fmt_float(record.tot_strength),
-            "1" if record.partial_info.get("first_letter", False) else "0",
-            fmt_ms(record.total_time_ms),
-            record.seed_child,
-        )
-    )
+    return ",".join([fmt(get(record)) for get, fmt in _RECORD_CELLS])
 
 
 def write_records_csv(records: list[TrialRecord], path) -> None:
@@ -77,82 +99,31 @@ def read_record_rows(path) -> list[dict]:
     lines = text.splitlines()
     if not lines or lines[0] != RECORDS_HEADER:
         raise ParameterError(f"unexpected records header in {path}")
-    names = RECORDS_HEADER.split(",")
-    types = {
-        "trial": int,
-        "sweep_q": float,
-        "sweep_d": float,
-        "episode": int,
-        "classification": str,
-        "sel_completeness": float,
-        "att_sem": int,
-        "att_lex": int,
-        "att_phon": int,
-        "tot_strength": float,
-        "slot_first_letter": lambda v: bool(int(v)),
-        "total_time_ms": float,
-        "seed_child": str,
-    }
     rows = []
     for line in lines[1:]:
         values = line.split(",")
-        if len(values) != len(names):
+        if len(values) != len(RECORD_COLUMNS):
             raise ParameterError(f"malformed records row: {line!r}")
-        rows.append({name: types[name](value) for name, value in zip(names, values)})
+        rows.append(
+            {name: parse(value) for (name, parse, _), value in zip(RECORD_COLUMNS, values)}
+        )
     return rows
-
-
-def record_json_obj(record: TrialRecord) -> dict:
-    return {
-        "trial": record.trial,
-        "sweep_q": record.sweep_q,
-        "sweep_d": record.sweep_d,
-        "flip_rate": record.flip_rate,
-        "episode": record.episode,
-        "classification": record.classification,
-        "sel_completeness": record.sel_completeness,
-        "att_sem": record.att_sem,
-        "att_lex": record.att_lex,
-        "att_phon": record.att_phon,
-        "tot_strength": record.tot_strength,
-        "partial_info": dict(record.partial_info),
-        "total_time_ms": record.total_time_ms,
-        "seed_child": record.seed_child,
-    }
 
 
 def write_records_json(records: list[TrialRecord], path) -> None:
     payload = {
         "schema_version": CSV_SCHEMA_VERSION,
-        "records": [record_json_obj(r) for r in records],
+        "records": [asdict(r) for r in records],
     }
     _atomic_write(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _summary_obj(row: SummaryRow) -> dict:
-    out = {
-        "sweep_q": row.sweep_q,
-        "sweep_d": row.sweep_d,
-        "flip_rate": row.flip_rate,
-        "n_records": row.n_records,
-        "n_trials": row.n_trials,
-        "resolved_rate": row.resolved_rate,
-        "resolved_ci_low": row.resolved_ci_low,
-        "resolved_ci_high": row.resolved_ci_high,
-        "tot_rate": row.tot_rate,
-        "tot_ci_low": row.tot_ci_low,
-        "tot_ci_high": row.tot_ci_high,
-        "noaccess_rate": row.noaccess_rate,
-        "noaccess_ci_low": row.noaccess_ci_low,
-        "noaccess_ci_high": row.noaccess_ci_high,
-        "mean_attempts": row.mean_attempts,
-        "median_attempts": row.median_attempts,
-        "mean_time_ms": row.mean_time_ms,
-        "strong_tot_share": row.strong_tot_share,
-        "eventual_resolution_rate": row.eventual_resolution_rate,
-    }
-    for name in sorted(row.slot_rates):
-        out[f"slot_{name}_rate"] = row.slot_rates[name]
+    """The row's fields, with `slot_rates` flattened into `slot_<name>_rate`."""
+    out = asdict(row)
+    slot_rates = out.pop("slot_rates")
+    for name in sorted(slot_rates):
+        out[f"slot_{name}_rate"] = slot_rates[name]
     return out
 
 

@@ -4,6 +4,7 @@ classification, and attempt-based chronometry."""
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -12,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .lexicon import COMPONENTS, Lexicon, exact_completeness
+from .lexicon import COMPONENTS, NO_BONUSES, Lexicon, exact_completeness
 from .network import ComponentNetwork
 from .patterns import BipolarPattern, exact_fraction, floor_count, overlap, slot_match, unit_rows
 
@@ -271,9 +272,10 @@ def recall_word(
     semantic_input: BipolarPattern,
     params: RecallParams,
     rng: np.random.Generator,
-    bonuses: dict[str, float] | None = None,
+    bonuses: Mapping[str, float] = NO_BONUSES,
 ) -> RecallOutcome:
-    """One full recall episode: selection, masking, component cascade.
+    """One full recall episode: selection under the trial's priming
+    `bonuses`, masking, component cascade.
 
     Selection completeness c masks floor((1 - c) * n) units of each
     component network for this episode, with c taken exactly (see
@@ -284,10 +286,7 @@ def recall_word(
     unattempted), so Resolved means all three resolved and a selected word
     whose phonological form did not resolve is a TOT.
     """
-    # Read before selecting: without explicit bonuses selection consumes a
-    # decay step of the lexicon's priming state.
-    used_bonuses = lex.effective_bonuses() if bonuses is None else bonuses
-    selection = lex.select_node(semantic_input, bonuses=bonuses)
+    selection = lex.select_node(semantic_input, bonuses)
     if selection is None:
         return RecallOutcome(
             word_id=None,
@@ -301,7 +300,7 @@ def recall_word(
         )
     node, completeness = selection
     mask_fraction = 1 - exact_completeness(
-        semantic_input, node, used_bonuses.get(node.id, 0.0)
+        semantic_input, node, bonuses.get(node.id, 0.0)
     )
     episode_nets = {}
     for comp in COMPONENTS:

@@ -213,6 +213,31 @@ class TestValidationErrors:
             parse_config(minimal_raw(sweep={"q": []}))
         assert path_of(e) == "sweep.q"
 
+    @pytest.mark.parametrize(
+        "axis, values",
+        [
+            ("q", [0.1, 0.2, 0.2]),
+            ("d", [0.1, 0.2, 0.2]),
+            ("flip_rate", [0.1, 0.2, 0.2]),
+            ("q", [1, 0.5, 1.0]),
+        ],
+        ids=["q", "d", "flip_rate", "q-int-and-float"],
+    )
+    def test_sweep_values_must_be_distinct(self, axis, values):
+        # Equal grid values would make two sweep points with one set of
+        # coordinates, and summarize would merge them into one row.
+        damage = [{"word": "apple", "component": "phonological", "fraction": 0.5}]
+        raw = minimal_raw(damage=damage, sweep={axis: values})
+        with pytest.raises(ConfigError) as e:
+            parse_config(raw)
+        assert path_of(e) == f"sweep.{axis}[2]"
+
+    def test_priming_unknown_word(self):
+        raw = minimal_raw(priming=[{"word": "pear", "bonus": 0.2, "decay_trials": 1}])
+        with pytest.raises(ConfigError) as e:
+            parse_config(raw)
+        assert path_of(e) == "priming[0].word"
+
     def test_sweep_without_axes(self):
         with pytest.raises(ConfigError) as e:
             parse_config(minimal_raw(sweep={}))

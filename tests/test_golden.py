@@ -57,14 +57,54 @@ GOLDEN = {
     },
 }
 
+# The same runs with `--format json`: records.json and summary.json are
+# written from the record and summary dataclasses, field by field.
+GOLDEN_JSON = {
+    "cue_sweep.json": {
+        "records.json": "21055a840611a3fdc8f8363a06425d4cb2b62d9c3ce21335ee21c89705782e70",
+        "run_meta.json": "bf3b7d05617b0ba2c1fafdecb1b49765d2385fa7d33b7d29a65dff542eefa11a",
+        "summary.json": "11c3bfaa60428ca45bee48250d5304d655e23151941292be68d6ac468b62d41b",
+    },
+    "damage_sweep.json": {
+        "records.json": "4874ac10f36729cd5f82bff8d1b3522b6c9b1f399aad64085ba0d5407d6a0051",
+        "run_meta.json": "3dbf4581db567139cfa2f3153e3882ace5449fc852e6a986009631fba59ba764",
+        "summary.json": "b63888fe51db299340b79b68c62a9a19e2593dca89e608bba760cceb91c22335",
+    },
+    "delayed_resolution.json": {
+        "records.json": "a6d0c94bb5546555c1f0f87229eae7c95dd6beebdffdc4482ee016f299b944e0",
+        "run_meta.json": "836867d83cb35936dd349f6e60b72b0f31c566ab4edb96720a6ef2b7a36f998a",
+        "summary.json": "bcdbecfce1dd06262ec12c187637f3e2ec1d6abe99ae379d00624dcfbb01edb7",
+    },
+    "free_recall.json": {
+        "records.json": "5ca3bce77bccdbdb59715863e4a79ce46cbaef9b845adfaf498ad0e678cd2c0d",
+        "run_meta.json": "5441b1ea8eb1e5603ea27a8ca148e5a48ed3fbaedc4b3e636522a3d3530aeac3",
+        "summary.json": "cf8423d953a37ebfd772fc64d3707239b1e4e12c70899e901e1201d196b52dbf",
+    },
+    "illusory_tot.json": {
+        "records.json": "aeae89f69fdd7e3e87f4799897bba1c948eff34fa13084ef528e048198b497c1",
+        "run_meta.json": "da6a6e19ca30835a71ccd2ef64de9f151349e4323336aaa9795b96d2dd8ee72e",
+        "summary.json": "b33553c6e916f62dca7d30cf5bd27cacd6a66c87b8877ccdf22ce31384c4da6f",
+    },
+    "partial_information.json": {
+        "records.json": "6cdefda5d46c28a5fad0e7f51c4019af96db4c25f1a126fee19748c1d98db219",
+        "run_meta.json": "d5e000b58ac94869c52bb5e00ad39410120ad86e903e93237ee9c53aa07486ee",
+        "summary.json": "57f4dd46e4372a36aada4f8e78d72694021b5c746aab10f6f1ed5be6be7ec713",
+    },
+    "priming_interloper.json": {
+        "records.json": "83d867e16c812961ac42febb85ed173e0614d8d9e4197abc47da01c6f5e339ed",
+        "run_meta.json": "4eba5e61c00d997376ac6a9e5365b044e06ef8f5a822cab39a472f7765b729cf",
+        "summary.json": "21d06290e4b240e69c311524634a17a864ad99e8e9b183860e55b913ec407fea",
+    },
+}
 
-def bundle(name, tmp_path):
+
+def bundle(name, tmp_path, fmt="csv"):
     raw = json.loads((CONFIGS / name).read_text())
     raw["n_trials"] = N_TRIALS
     config = tmp_path / name
     config.write_text(json.dumps(raw))
     out = tmp_path / "out"
-    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--format", fmt]) == 0
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.iterdir())
@@ -72,9 +112,16 @@ def bundle(name, tmp_path):
 
 
 def test_every_shipped_config_is_pinned():
-    assert sorted(GOLDEN) == sorted(p.name for p in CONFIGS.glob("*.json"))
+    shipped = sorted(p.name for p in CONFIGS.glob("*.json"))
+    assert sorted(GOLDEN) == shipped
+    assert sorted(GOLDEN_JSON) == shipped
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes_are_pinned(name, tmp_path):
     assert bundle(name, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
+def test_json_output_bytes_are_pinned(name, tmp_path):
+    assert bundle(name, tmp_path, "json") == GOLDEN_JSON[name]

@@ -1,7 +1,10 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 from numpy.random import SeedSequence, default_rng
 
 from totsim.errors import ConfigError, DimensionError, GenerationError, ParameterError
+from totsim.experiment import PrimingEntry, ScenarioConfig, materialize_bonuses
 from totsim.lexicon import (
     COMPONENTS,
     GeneratorSpec,
@@ -11,6 +14,7 @@ from totsim.lexicon import (
     corrupt_metamemory,
 )
 from totsim.patterns import BipolarPattern, hamming
+from totsim.recall import RecallParams
 
 from helpers import explicit_word, word_spec
 
@@ -111,36 +115,41 @@ class TestSelectNode:
         )
         node, completeness = lex.select_node(x)
         assert node.id == "a" and completeness == 0.5
-        lex.prime("b", 0.3, decay_trials=1)
-        node, completeness = lex.select_node(x)
+        node, completeness = lex.select_node(x, bonuses={"b": 0.3})
         assert node.id == "b" and completeness == pytest.approx(0.55)
 
     def test_priming_expires_exactly(self):
+        # A prime with decay_trials = 2 wins trials 0 and 1 and is gone at 2.
         a = BipolarPattern([1] * 16)
         b = BipolarPattern([1] * 10 + [-1] * 6)
         x = a.with_flipped([8, 9, 10, 11])
         lex = Lexicon((explicit_word("a", a), explicit_word("b", b)), 0.3)
-        lex.prime("b", 0.3, decay_trials=2)
-        assert lex.select_node(x)[0].id == "b"
-        assert lex.select_node(x)[0].id == "b"
-        assert lex.select_node(x)[0].id == "a"  # bonus gone
-        assert lex.effective_bonuses() == {}
+        cfg = ScenarioConfig(
+            seed=0,
+            lexicon=LexiconSpec(words=(word_spec("a", "+"),)),
+            target="a",
+            recall=RecallParams.with_uniform_cue(0.0),
+            priming=(PrimingEntry("b", 0.3, decay_trials=2),),
+        )
+        winners = [
+            lex.select_node(x, bonuses=materialize_bonuses(cfg, trial))[0].id
+            for trial in range(3)
+        ]
+        assert winners == ["b", "b", "a"]
 
     def test_priming_the_winner_keeps_the_winner(self):
         a = BipolarPattern([1] * 16)
         b = BipolarPattern([1] * 10 + [-1] * 6)
         x = a.with_flipped([8, 9, 10, 11])
         lex = Lexicon((explicit_word("a", a), explicit_word("b", b)), 0.3)
-        lex.prime("a", 0.4, decay_trials=5)
-        assert lex.select_node(x)[0].id == "a"
+        assert lex.select_node(x, bonuses={"a": 0.4})[0].id == "a"
 
     def test_zero_bonus_changes_nothing(self):
         a = BipolarPattern([1] * 16)
         b = BipolarPattern([1] * 10 + [-1] * 6)
         x = a.with_flipped([8, 9, 10, 11])
         lex = Lexicon((explicit_word("a", a), explicit_word("b", b)), 0.3)
-        lex.prime("b", 0.0, decay_trials=5)
-        assert lex.select_node(x)[0].id == "a"
+        assert lex.select_node(x, bonuses={"b": 0.0})[0].id == "a"
 
     def test_uniform_bonus_keeps_argmax(self):
         a = BipolarPattern([1] * 16)
@@ -156,12 +165,16 @@ class TestSelectNode:
         lex = Lexicon((explicit_word("zeta", p), explicit_word("alpha", p)), 0.3)
         assert lex.select_node(p)[0].id == "alpha"
 
-    def test_explicit_bonuses_leave_state_alone(self):
-        p = BipolarPattern.from_text("++-+--++-")
-        lex = Lexicon((explicit_word("a", p),), 0.3)
-        lex.prime("a", 0.5, decay_trials=1)
-        lex.select_node(p, bonuses={})
-        assert lex.effective_bonuses() == {"a": 0.5}
+    def test_selection_is_a_function_of_input_and_bonuses(self):
+        a = BipolarPattern([1] * 16)
+        b = BipolarPattern([1] * 10 + [-1] * 6)
+        x = a.with_flipped([8, 9, 10, 11])
+        lex = Lexicon((explicit_word("a", a), explicit_word("b", b)), 0.3)
+        primed = [lex.select_node(x, bonuses={"b": 0.3})[0].id for _ in range(3)]
+        assert primed == ["b", "b", "b"]
+        assert lex.select_node(x)[0].id == "a"
+        with pytest.raises(FrozenInstanceError):
+            lex.selection_threshold = 0.9
 
     def test_empty_lexicon_rejected(self):
         lex = Lexicon((), 0.3)
@@ -172,13 +185,6 @@ class TestSelectNode:
         lex = explicit_lexicon(word_spec("a", "+++"))
         with pytest.raises(DimensionError):
             lex.select_node(BipolarPattern([1, 1]))
-
-    def test_unknown_prime_target_rejected(self):
-        lex = explicit_lexicon(word_spec("a", "+++"))
-        with pytest.raises(ConfigError):
-            lex.prime("nope", 0.2, 1)
-        with pytest.raises(ParameterError):
-            lex.prime("a", 1.2, 1)
 
 
 class TestCorruptMetamemory:

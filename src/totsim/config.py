@@ -1,12 +1,23 @@
 """Scenario configuration: JSON schema parsing, validation with field-path
-diagnostics, defaults resolution, and normalized re-emission."""
+diagnostics, defaults resolution, and normalized re-emission.
+
+Each JSON object has one field table `{key: (spec, default)}`, read by
+`_read`. A spec is a reader `(value, path) -> parsed`, a nested table, or a
+one-item list `[spec]` for a list of that item. The default is `_REQUIRED`,
+`_ABSENT` (an alternative or a sweep axis: the key stays out and the dataclass
+default stands), or a value read through the same spec when the key is
+absent, whose path then goes to `defaults_applied`. Keys are the dataclass
+field names, so `normalized_dict` is `asdict` with two fix-ups.
+"""
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
 
-from .errors import ConfigError, DimensionError, ParameterError, TotsimError
+from .errors import ConfigError, DimensionError, ParameterError
 from .experiment import (
     CorruptionEntry,
     DamagePlanEntry,
@@ -20,6 +31,9 @@ from .recall import RecallParams
 
 _MAX_SEED = 2**64 - 1
 
+_REQUIRED = object()
+_ABSENT = object()
+
 
 def _join(path: str, key) -> str:
     key = str(key)
@@ -28,32 +42,6 @@ def _join(path: str, key) -> str:
     if key.startswith("["):
         return path + key
     return f"{path}.{key}"
-
-
-def _check_unknown(obj: dict, allowed, path: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(_join(path, key), "unknown field")
-
-
-def _get_obj(obj: dict, key: str, path: str, required=False, default=None):
-    if key not in obj:
-        if required:
-            raise ConfigError(_join(path, key), "missing required field")
-        return default
-    value = obj[key]
-    if not isinstance(value, dict):
-        raise ConfigError(_join(path, key), "expected an object")
-    return value
-
-
-def _get_list(obj: dict, key: str, path: str, default=None):
-    if key not in obj:
-        return default
-    value = obj[key]
-    if not isinstance(value, list):
-        raise ConfigError(_join(path, key), "expected a list")
-    return value
 
 
 def _as_number(value, path: str, lo=None, hi=None, lo_open=False, hi_open=False) -> float:
@@ -97,172 +85,213 @@ def _pattern(value, path: str) -> BipolarPattern:
         raise ConfigError(path, str(exc)) from exc
 
 
-class _Defaults:
-    """Collects the field paths that were filled in from defaults."""
-
-    def __init__(self):
-        self.applied: list[str] = []
-
-    def number(self, obj, key, path, default, **kw) -> float:
-        if key not in obj:
-            self.applied.append(_join(path, key))
-            return default
-        return _as_number(obj[key], _join(path, key), **kw)
-
-    def integer(self, obj, key, path, default, **kw) -> int:
-        if key not in obj:
-            self.applied.append(_join(path, key))
-            return default
-        return _as_int(obj[key], _join(path, key), **kw)
-
-    def boolean(self, obj, key, path, default) -> bool:
-        if key not in obj:
-            self.applied.append(_join(path, key))
-            return default
-        return _as_bool(obj[key], _join(path, key))
-
-    def mark(self, path: str) -> None:
-        self.applied.append(path)
+def _as_component(value, path: str) -> str:
+    comp = _as_str(value, path)
+    if comp not in COMPONENTS:
+        raise ConfigError(path, f"component must be one of {COMPONENTS}, got {comp!r}")
+    return comp
 
 
-def _parse_lexicon(obj: dict, defaults: _Defaults) -> LexiconSpec:
-    path = "lexicon"
-    _check_unknown(obj, {"selection_threshold", "words", "generator", "slots"}, path)
-    threshold = defaults.number(
-        obj, "selection_threshold", path, 0.3, lo=0.0, lo_open=True, hi=1.0
-    )
-    words_raw = _get_list(obj, "words", path)
-    gen_raw = _get_obj(obj, "generator", path)
-    if (words_raw is None) == (gen_raw is None):
-        raise ConfigError(path, "declare exactly one of 'words' and 'generator'")
+_unit = partial(_as_number, lo=0.0, hi=1.0)
+_positive = partial(_as_int, lo=1)
+_natural = partial(_as_int, lo=0)
 
-    words = None
-    generator = None
-    lengths: dict[str, int] = {}
-    if words_raw is not None:
-        if not words_raw:
-            raise ConfigError(_join(path, "words"), "needs at least one word")
-        parsed = []
-        for i, entry in enumerate(words_raw):
-            wpath = f"{path}.words[{i}]"
-            if not isinstance(entry, dict):
-                raise ConfigError(wpath, "expected an object")
-            _check_unknown(entry, {"id", "frequency", *COMPONENTS}, wpath)
-            if "id" not in entry:
-                raise ConfigError(_join(wpath, "id"), "missing required field")
-            word_id = _as_str(entry["id"], _join(wpath, "id"))
-            frequency = defaults.number(entry, "frequency", wpath, 1.0, lo=0.0)
-            patterns = {}
-            for comp in COMPONENTS:
-                if comp not in entry:
-                    raise ConfigError(_join(wpath, comp), "missing required field")
-                patterns[comp] = _pattern(entry[comp], _join(wpath, comp))
-                if i == 0:
-                    lengths[comp] = len(patterns[comp])
-                elif len(patterns[comp]) != lengths[comp]:
-                    raise ConfigError(
-                        _join(wpath, comp),
-                        f"length {len(patterns[comp])} != length {lengths[comp]} of word 0",
-                    )
-            parsed.append(WordSpec(id=word_id, patterns=patterns, frequency=frequency))
-        ids = [w.id for w in parsed]
-        if len(set(ids)) != len(ids):
-            raise ConfigError(_join(path, "words"), "word ids must be unique")
-        words = tuple(parsed)
-    else:
-        gpath = f"{path}.generator"
-        _check_unknown(gen_raw, {"count", "lengths", "min_pairwise_distance"}, gpath)
-        if "count" not in gen_raw:
-            raise ConfigError(_join(gpath, "count"), "missing required field")
-        count = _as_int(gen_raw["count"], _join(gpath, "count"), lo=1)
-        lengths_raw = _get_obj(gen_raw, "lengths", gpath, required=True)
-        _check_unknown(lengths_raw, set(COMPONENTS), _join(gpath, "lengths"))
-        for comp in COMPONENTS:
-            if comp not in lengths_raw:
-                raise ConfigError(_join(f"{gpath}.lengths", comp), "missing required field")
-            lengths[comp] = _as_int(lengths_raw[comp], _join(f"{gpath}.lengths", comp), lo=1)
-        minimum = defaults.integer(gen_raw, "min_pairwise_distance", gpath, 1, lo=0)
-        generator = GeneratorSpec(
-            count=count, lengths=dict(lengths), min_pairwise_distance=minimum
+
+def _read(spec, value, path: str, applied: list[str]):
+    """Read `value`, found at `path`, by `spec` (see the module docstring).
+    The path of each absent field that took its default is appended to
+    `applied`; an absent object is listed once, by its own path."""
+    if callable(spec):
+        return spec(value, path)
+    if isinstance(spec, list):
+        # A tuple is read as a list: the list defaults come from the dataclasses.
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(path, "expected a list")
+        return tuple([_read(spec[0], v, f"{path}[{i}]", applied) for i, v in enumerate(value)])
+    if not isinstance(value, dict):
+        raise ConfigError(path, "expected an object")
+    for key in value:
+        if key not in spec:
+            raise ConfigError(_join(path, key), "unknown field")
+    out = {}
+    for key, (item, default) in spec.items():
+        key_path = f"{path}.{key}" if path else key
+        if key in value:
+            item_value, item_applied = value[key], applied
+        elif default is _REQUIRED:
+            raise ConfigError(key_path, "missing required field")
+        elif default is _ABSENT:
+            continue
+        else:
+            applied.append(key_path)
+            item_value, item_applied = default, []
+        # Scalar readers are called directly, saving a frame per field:
+        # parsing is a measurable share of a run's set-up time.
+        out[key] = (
+            item(item_value, key_path)
+            if callable(item)
+            else _read(item, item_value, key_path, item_applied)
         )
+    return out
 
-    slots_raw = _get_obj(obj, "slots", path)
-    if slots_raw is None:
-        defaults.mark(_join(path, "slots"))
-        slots_raw = {}
-    slots: dict[str, tuple[int, ...]] = {}
-    for name, indices in slots_raw.items():
-        spath = _join(f"{path}.slots", name)
+
+def _slots(value, path: str) -> dict[str, tuple[int, ...]]:
+    if not isinstance(value, dict):
+        raise ConfigError(path, "expected an object")
+    slots = {}
+    for name, indices in value.items():
+        slot_path = _join(path, name)
         if not isinstance(indices, list) or not indices:
-            raise ConfigError(spath, "expected a non-empty list of unit indices")
-        slots[name] = tuple(_as_int(i, spath, lo=0) for i in indices)
-    try:
-        SlotMap(lengths["phonological"], dict(slots))
-    except (ParameterError, DimensionError) as exc:
-        raise ConfigError(_join(path, "slots"), str(exc)) from exc
-    return LexiconSpec(
-        selection_threshold=threshold, words=words, generator=generator, slots=slots
-    )
+            raise ConfigError(slot_path, "expected a non-empty list of unit indices")
+        slots[name] = tuple(_natural(i, slot_path) for i in indices)
+    return slots
 
 
-def _parse_recall(obj: dict, defaults: _Defaults) -> RecallParams:
-    path = "recall"
-    _check_unknown(
-        obj,
+_CUE_PER_COMPONENT = {comp: (_unit, _REQUIRED) for comp in COMPONENTS}
+
+
+def _cue_fraction(value, path: str) -> dict[str, float]:
+    """One fraction for every component, or an object with one per component."""
+    if isinstance(value, dict):
+        return _read(_CUE_PER_COMPONENT, value, path, [])
+    return dict.fromkeys(COMPONENTS, _unit(value, path))
+
+
+def _grid(value, path: str) -> tuple[float, ...]:
+    values = _read([_unit], value, path, [])
+    if not values:
+        raise ConfigError(path, "grid must be non-empty")
+    for i, x in enumerate(values):
+        if x in values[:i]:
+            # Two equal grid values would be two sweep points with the same
+            # coordinates, which the summary could not tell apart.
+            raise ConfigError(
+                f"{path}[{i}]", f"repeats {path}[{values.index(x)}]; values must be distinct"
+            )
+    return values
+
+
+_WORD = {"id": (_as_str, _REQUIRED), **{comp: (_pattern, _REQUIRED) for comp in COMPONENTS}}
+
+_LEXICON = {
+    "selection_threshold": (
+        partial(_as_number, lo=0.0, lo_open=True, hi=1.0),
+        LexiconSpec.selection_threshold,
+    ),
+    "words": ([_WORD], _ABSENT),
+    "generator": (
         {
-            "cue_fraction",
-            "max_attempts",
-            "link_gain",
-            "chronometry",
-            "strength_threshold",
-            "fixed_cue_per_episode",
+            "count": (_positive, _REQUIRED),
+            "lengths": ({comp: (_positive, _REQUIRED) for comp in COMPONENTS}, _REQUIRED),
+            "min_pairwise_distance": (_natural, GeneratorSpec.min_pairwise_distance),
         },
-        path,
-    )
-    if "cue_fraction" not in obj:
-        defaults.mark(_join(path, "cue_fraction"))
-        cue = {comp: 0.0 for comp in COMPONENTS}
-    elif isinstance(obj["cue_fraction"], dict):
-        cpath = f"{path}.cue_fraction"
-        _check_unknown(obj["cue_fraction"], set(COMPONENTS), cpath)
-        cue = {}
-        for comp in COMPONENTS:
-            if comp not in obj["cue_fraction"]:
-                raise ConfigError(_join(cpath, comp), "missing required field")
-            cue[comp] = _as_number(obj["cue_fraction"][comp], _join(cpath, comp), lo=0.0, hi=1.0)
-    else:
-        q = _as_number(obj["cue_fraction"], _join(path, "cue_fraction"), lo=0.0, hi=1.0)
-        cue = {comp: q for comp in COMPONENTS}
-    max_attempts = defaults.integer(obj, "max_attempts", path, 64, lo=1)
-    link_gain = defaults.number(obj, "link_gain", path, 0.0, lo=0.0, hi=1.0)
-    chrono = _get_obj(obj, "chronometry", path)
-    if chrono is None:
-        defaults.mark(_join(path, "chronometry"))
-        spike_ms, interval_ms = 1.0, 10.0
-    else:
-        cpath = f"{path}.chronometry"
-        _check_unknown(chrono, {"spike_ms", "interval_ms"}, cpath)
-        spike_ms = defaults.number(chrono, "spike_ms", cpath, 1.0, lo=0.0, lo_open=True)
-        interval_ms = defaults.number(chrono, "interval_ms", cpath, 10.0, lo=0.0)
-    strength = defaults.number(
-        obj, "strength_threshold", path, 0.7, lo=0.0, hi=1.0, lo_open=True, hi_open=True
-    )
-    fixed_cue = defaults.boolean(obj, "fixed_cue_per_episode", path, False)
-    return RecallParams(
-        cue_fraction=cue,
-        max_attempts=max_attempts,
-        link_gain=link_gain,
-        spike_ms=spike_ms,
-        interval_ms=interval_ms,
-        strength_threshold=strength,
-        fixed_cue_per_episode=fixed_cue,
-    )
+        _ABSENT,
+    ),
+    "slots": (_slots, {}),
+}
+
+# RecallParams keeps these flat; the JSON nests them under `chronometry`.
+_CHRONOMETRY = {
+    "spike_ms": (partial(_as_number, lo=0.0, lo_open=True), RecallParams.spike_ms),
+    "interval_ms": (partial(_as_number, lo=0.0), RecallParams.interval_ms),
+}
+
+_RECALL = {
+    "cue_fraction": (_cue_fraction, 0.0),
+    "max_attempts": (_positive, RecallParams.max_attempts),
+    "link_gain": (_unit, RecallParams.link_gain),
+    "chronometry": (_CHRONOMETRY, {}),
+    "strength_threshold": (
+        partial(_as_number, lo=0.0, hi=1.0, lo_open=True, hi_open=True),
+        RecallParams.strength_threshold,
+    ),
+    "fixed_cue_per_episode": (_as_bool, RecallParams.fixed_cue_per_episode),
+}
+
+_DAMAGE = {
+    "word": (_as_str, _REQUIRED),
+    "component": (_as_component, _REQUIRED),
+    "fraction": (_unit, _REQUIRED),
+    "protected_slots": ([_as_str], _ABSENT),
+}
+
+_CORRUPTION = {
+    "word": (_as_str, _REQUIRED),
+    "component": (_as_component, _REQUIRED),
+    "flips": (_natural, _REQUIRED),
+}
+
+_PRIMING = {
+    "word": (_as_str, _REQUIRED),
+    "bonus": (_unit, _REQUIRED),
+    "decay_trials": (_natural, _REQUIRED),
+}
+
+_SCENARIO = {
+    "seed": (partial(_as_int, lo=0, hi=_MAX_SEED), _REQUIRED),
+    "lexicon": (_LEXICON, _REQUIRED),
+    "target": (_as_str, _REQUIRED),
+    "semantic_input_flip_rate": (_unit, ScenarioConfig.semantic_input_flip_rate),
+    "recall": (_RECALL, {}),
+    "damage": ([_DAMAGE], ScenarioConfig.damage),
+    "metamemory_corruption": ([_CORRUPTION], ScenarioConfig.metamemory_corruption),
+    "priming": ([_PRIMING], ScenarioConfig.priming),
+    "episodes_per_trial": (_positive, ScenarioConfig.episodes_per_trial),
+    "n_trials": (_positive, ScenarioConfig.n_trials),
+    "sweep": ({axis.name: (_grid, _ABSENT) for axis in fields(SweepGrid)}, _ABSENT),
+}
 
 
-def _word_ids(lexicon: LexiconSpec) -> set[str]:
+def _lexicon(doc: dict) -> LexiconSpec:
+    if ("words" in doc) == ("generator" in doc):
+        raise ConfigError("lexicon", "declare exactly one of 'words' and 'generator'")
+    if "words" in doc:
+        words = doc["words"]
+        if not words:
+            raise ConfigError("lexicon.words", "needs at least one word")
+        for i, word in enumerate(words):
+            for comp in COMPONENTS:
+                n, n0 = len(word[comp]), len(words[0][comp])
+                if n != n0:
+                    raise ConfigError(
+                        f"lexicon.words[{i}].{comp}", f"length {n} != length {n0} of word 0"
+                    )
+        ids = [word["id"] for word in words]
+        if len(set(ids)) != len(ids):
+            raise ConfigError("lexicon.words", "word ids must be unique")
+        doc["words"] = tuple(
+            WordSpec(id=word["id"], patterns={comp: word[comp] for comp in COMPONENTS})
+            for word in words
+        )
+        phon_length = len(words[0]["phonological"])
+    else:
+        doc["generator"] = GeneratorSpec(**doc["generator"])
+        phon_length = doc["generator"].lengths["phonological"]
+    try:
+        SlotMap(phon_length, dict(doc["slots"]))
+    except (ParameterError, DimensionError) as exc:
+        raise ConfigError("lexicon.slots", str(exc)) from exc
+    return LexiconSpec(**doc)
+
+
+def _check_word(lexicon: LexiconSpec, word_id: str, path: str) -> None:
     if lexicon.words is not None:
-        return {w.id for w in lexicon.words}
-    return {f"w{i}" for i in range(lexicon.generator.count)}
+        known = any(w.id == word_id for w in lexicon.words)
+    else:
+        # Generated ids are w0 .. w{count-1}, decided by arithmetic so that
+        # no id string is built per word.
+        count = lexicon.generator.count
+        digits = word_id[1:]
+        known = (
+            word_id[:1] == "w"
+            and digits.isascii()
+            and digits.isdigit()
+            and (digits == "0" or digits[0] != "0")
+            and len(digits) <= len(str(count))
+            and int(digits) < count
+        )
+    if not known:
+        raise ConfigError(path, f"unknown word id {word_id!r}")
 
 
 def _component_length(lexicon: LexiconSpec, component: str) -> int:
@@ -271,124 +300,31 @@ def _component_length(lexicon: LexiconSpec, component: str) -> int:
     return lexicon.generator.lengths[component]
 
 
-def _as_component(value, path: str) -> str:
-    comp = _as_str(value, path)
-    if comp not in COMPONENTS:
-        raise ConfigError(path, f"component must be one of {COMPONENTS}, got {comp!r}")
-    return comp
-
-
-def _parse_plans(raw: dict, lexicon: LexiconSpec, defaults: _Defaults):
-    ids = _word_ids(lexicon)
-    damage = []
-    for i, entry in enumerate(_get_list(raw, "damage", "", default=[]) or []):
-        path = f"damage[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(path, "expected an object")
-        _check_unknown(entry, {"word", "component", "fraction", "protected_slots"}, path)
-        for key in ("word", "component", "fraction"):
-            if key not in entry:
-                raise ConfigError(_join(path, key), "missing required field")
-        word = _as_str(entry["word"], _join(path, "word"))
-        if word not in ids:
-            raise ConfigError(_join(path, "word"), f"unknown word id {word!r}")
-        component = _as_component(entry["component"], _join(path, "component"))
-        fraction = _as_number(entry["fraction"], _join(path, "fraction"), lo=0.0, hi=1.0)
-        protected = tuple(
-            _as_str(s, _join(path, "protected_slots"))
-            for s in (_get_list(entry, "protected_slots", path, default=[]) or [])
-        )
-        if protected and component != "phonological":
-            raise ConfigError(
-                _join(path, "protected_slots"),
-                "slots segment the phonological component only",
-            )
-        for name in protected:
+def _check_references(cfg: ScenarioConfig) -> None:
+    lexicon = cfg.lexicon
+    _check_word(lexicon, cfg.target, "target")
+    for i, entry in enumerate(cfg.damage):
+        _check_word(lexicon, entry.word, f"damage[{i}].word")
+        slots_path = f"damage[{i}].protected_slots"
+        if entry.protected_slots and entry.component != "phonological":
+            raise ConfigError(slots_path, "slots segment the phonological component only")
+        for name in entry.protected_slots:
             if name not in lexicon.slots:
-                raise ConfigError(
-                    _join(path, "protected_slots"), f"unknown slot {name!r}"
-                )
-        damage.append(
-            DamagePlanEntry(
-                word=word, component=component, fraction=fraction, protected_slots=protected
+                raise ConfigError(slots_path, f"unknown slot {name!r}")
+    for i, entry in enumerate(cfg.metamemory_corruption):
+        _check_word(lexicon, entry.word, f"metamemory_corruption[{i}].word")
+        n = _component_length(lexicon, entry.component)
+        if entry.flips > n:
+            raise ConfigError(
+                f"metamemory_corruption[{i}].flips",
+                f"value {entry.flips} above allowed maximum {n}",
             )
-        )
-
-    corruption = []
-    for i, entry in enumerate(
-        _get_list(raw, "metamemory_corruption", "", default=[]) or []
-    ):
-        path = f"metamemory_corruption[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(path, "expected an object")
-        _check_unknown(entry, {"word", "component", "flips"}, path)
-        for key in ("word", "component", "flips"):
-            if key not in entry:
-                raise ConfigError(_join(path, key), "missing required field")
-        word = _as_str(entry["word"], _join(path, "word"))
-        if word not in ids:
-            raise ConfigError(_join(path, "word"), f"unknown word id {word!r}")
-        component = _as_component(entry["component"], _join(path, "component"))
-        flips = _as_int(
-            entry["flips"],
-            _join(path, "flips"),
-            lo=0,
-            hi=_component_length(lexicon, component),
-        )
-        corruption.append(CorruptionEntry(word=word, component=component, flips=flips))
-
-    priming = []
-    for i, entry in enumerate(_get_list(raw, "priming", "", default=[]) or []):
-        path = f"priming[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(path, "expected an object")
-        _check_unknown(entry, {"word", "bonus", "decay_trials"}, path)
-        for key in ("word", "bonus", "decay_trials"):
-            if key not in entry:
-                raise ConfigError(_join(path, key), "missing required field")
-        word = _as_str(entry["word"], _join(path, "word"))
-        if word not in ids:
-            raise ConfigError(_join(path, "word"), f"unknown word id {word!r}")
-        bonus = _as_number(entry["bonus"], _join(path, "bonus"), lo=0.0, hi=1.0)
-        decay = _as_int(entry["decay_trials"], _join(path, "decay_trials"), lo=0)
-        priming.append(PrimingEntry(word=word, bonus=bonus, decay_trials=decay))
-
-    for key in ("damage", "metamemory_corruption", "priming"):
-        if key not in raw:
-            defaults.mark(key)
-    return tuple(damage), tuple(corruption), tuple(priming)
-
-
-def _parse_sweep(raw: dict, damage: tuple) -> SweepGrid | None:
-    obj = _get_obj(raw, "sweep", "")
-    if obj is None:
-        return None
-    _check_unknown(obj, {"q", "d", "flip_rate"}, "sweep")
-    axes = {}
-    for key in ("q", "d", "flip_rate"):
-        values = _get_list(obj, key, "sweep")
-        if values is None:
-            axes[key] = None
-            continue
-        if not values:
-            raise ConfigError(_join("sweep", key), "grid must be non-empty")
-        parsed: list[float] = []
-        for i, v in enumerate(values):
-            path = f"sweep.{key}[{i}]"
-            x = _as_number(v, path, lo=0.0, hi=1.0)
-            if x in parsed:
-                # Two equal grid values would be two sweep points with the
-                # same coordinates, which the summary could not tell apart.
-                raise ConfigError(
-                    path, f"repeats sweep.{key}[{parsed.index(x)}]; values must be distinct"
-                )
-            parsed.append(x)
-        axes[key] = tuple(parsed)
-    if all(v is None for v in axes.values()):
+    for i, entry in enumerate(cfg.priming):
+        _check_word(lexicon, entry.word, f"priming[{i}].word")
+    if cfg.sweep == SweepGrid():
         raise ConfigError("sweep", "declare at least one axis (q, d, flip_rate)")
-    if axes["d"] is not None and not damage:
+    if cfg.sweep is not None and cfg.sweep.d is not None and not cfg.damage:
         raise ConfigError("sweep.d", "sweeping d requires at least one damage entry")
-    return SweepGrid(q=axes["q"], d=axes["d"], flip_rate=axes["flip_rate"])
 
 
 def parse_config(raw: dict) -> tuple[ScenarioConfig, list[str]]:
@@ -396,60 +332,23 @@ def parse_config(raw: dict) -> tuple[ScenarioConfig, list[str]]:
     field paths that were filled in from defaults."""
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be a JSON object")
-    _check_unknown(
-        raw,
-        {
-            "seed",
-            "lexicon",
-            "target",
-            "semantic_input_flip_rate",
-            "recall",
-            "damage",
-            "metamemory_corruption",
-            "priming",
-            "episodes_per_trial",
-            "n_trials",
-            "sweep",
-        },
-        "",
-    )
-    defaults = _Defaults()
-    if "seed" not in raw:
-        raise ConfigError("seed", "missing required field")
-    seed = _as_int(raw["seed"], "seed", lo=0, hi=_MAX_SEED)
-    lexicon = _parse_lexicon(_get_obj(raw, "lexicon", "", required=True), defaults)
-    if "target" not in raw:
-        raise ConfigError("target", "missing required field")
-    target = _as_str(raw["target"], "target")
-    if target not in _word_ids(lexicon):
-        raise ConfigError("target", f"unknown word id {target!r}")
-    flip_rate = defaults.number(raw, "semantic_input_flip_rate", "", 0.0, lo=0.0, hi=1.0)
-    recall_obj = _get_obj(raw, "recall", "")
-    if recall_obj is None:
-        defaults.mark("recall")
-        recall_obj = {}
-    recall = _parse_recall(recall_obj, defaults)
-    damage, corruption, priming = _parse_plans(raw, lexicon, defaults)
-    episodes = defaults.integer(raw, "episodes_per_trial", "", 1, lo=1)
-    n_trials = defaults.integer(raw, "n_trials", "", 1000, lo=1)
-    sweep = _parse_sweep(raw, damage)
-    try:
-        cfg = ScenarioConfig(
-            seed=seed,
-            lexicon=lexicon,
-            target=target,
-            recall=recall,
-            semantic_input_flip_rate=flip_rate,
-            damage=damage,
-            metamemory_corruption=corruption,
-            priming=priming,
-            episodes_per_trial=episodes,
-            n_trials=n_trials,
-            sweep=sweep,
-        )
-    except TotsimError as exc:
-        raise ConfigError("config", str(exc)) from exc
-    return cfg, defaults.applied
+    applied: list[str] = []
+    doc = _read(_SCENARIO, raw, "", applied)
+    doc["lexicon"] = _lexicon(doc["lexicon"])
+    recall = doc["recall"]
+    recall.update(recall.pop("chronometry"))
+    doc["recall"] = RecallParams(**recall)
+    for key, entry_type in (
+        ("damage", DamagePlanEntry),
+        ("metamemory_corruption", CorruptionEntry),
+        ("priming", PrimingEntry),
+    ):
+        doc[key] = tuple(entry_type(**entry) for entry in doc[key])
+    if "sweep" in doc:
+        doc["sweep"] = SweepGrid(**doc["sweep"])
+    cfg = ScenarioConfig(**doc)
+    _check_references(cfg)
+    return cfg, applied
 
 
 def load_raw_config(path) -> dict:
@@ -464,68 +363,24 @@ def load_raw_config(path) -> dict:
         raise ConfigError("config", f"invalid JSON: {exc}") from exc
 
 
+def _plain(value):
+    """An `asdict` tree as JSON values: patterns as text, tuples as lists,
+    None fields dropped."""
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items() if v is not None}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, BipolarPattern):
+        return value.to_text()
+    return value
+
+
 def normalized_dict(cfg: ScenarioConfig) -> dict:
     """Defaults-resolved config as a plain dict; parsing it back yields an
     identical scenario."""
-    lex: dict = {"selection_threshold": cfg.lexicon.selection_threshold}
-    if cfg.lexicon.words is not None:
-        lex["words"] = [
-            {
-                "id": w.id,
-                "frequency": w.frequency,
-                **{comp: w.patterns[comp].to_text() for comp in COMPONENTS},
-            }
-            for w in cfg.lexicon.words
-        ]
-    else:
-        gen = cfg.lexicon.generator
-        lex["generator"] = {
-            "count": gen.count,
-            "lengths": {comp: gen.lengths[comp] for comp in COMPONENTS},
-            "min_pairwise_distance": gen.min_pairwise_distance,
-        }
-    lex["slots"] = {name: list(idx) for name, idx in cfg.lexicon.slots.items()}
-    out = {
-        "seed": cfg.seed,
-        "lexicon": lex,
-        "target": cfg.target,
-        "semantic_input_flip_rate": cfg.semantic_input_flip_rate,
-        "recall": {
-            "cue_fraction": {comp: cfg.recall.cue_fraction[comp] for comp in COMPONENTS},
-            "max_attempts": cfg.recall.max_attempts,
-            "link_gain": cfg.recall.link_gain,
-            "chronometry": {
-                "spike_ms": cfg.recall.spike_ms,
-                "interval_ms": cfg.recall.interval_ms,
-            },
-            "strength_threshold": cfg.recall.strength_threshold,
-            "fixed_cue_per_episode": cfg.recall.fixed_cue_per_episode,
-        },
-        "damage": [
-            {
-                "word": e.word,
-                "component": e.component,
-                "fraction": e.fraction,
-                "protected_slots": list(e.protected_slots),
-            }
-            for e in cfg.damage
-        ],
-        "metamemory_corruption": [
-            {"word": e.word, "component": e.component, "flips": e.flips}
-            for e in cfg.metamemory_corruption
-        ],
-        "priming": [
-            {"word": e.word, "bonus": e.bonus, "decay_trials": e.decay_trials}
-            for e in cfg.priming
-        ],
-        "episodes_per_trial": cfg.episodes_per_trial,
-        "n_trials": cfg.n_trials,
-    }
-    if cfg.sweep is not None:
-        sweep = {}
-        for key in ("q", "d", "flip_rate"):
-            values = getattr(cfg.sweep, key)
-            if values is not None:
-                sweep[key] = list(values)
-        out["sweep"] = sweep
+    out = _plain(asdict(cfg))
+    recall = out["recall"]
+    recall["chronometry"] = {key: recall.pop(key) for key in _CHRONOMETRY}
+    for word in out["lexicon"].get("words", ()):
+        word.update(word.pop("patterns"))
     return out

@@ -16,7 +16,7 @@ from .errors import CapacityError, ConfigError, DimensionError, ParameterError
 from .lexicon import COMPONENTS, Lexicon, LexiconSpec, WordNode, build_lexicon, corrupt_metamemory
 from .network import ComponentNetwork
 from .patterns import BipolarPattern, flip_by_rate
-from .recall import Classification, RecallOutcome, RecallParams, chronometry, recall_word
+from .recall import Classification, RecallOutcome, RecallParams, chronometry, is_strong, recall_word
 
 # Child-stream key tags under the master seed. Keying streams by purpose and
 # index (rather than spawning in program order) keeps every draw independent
@@ -437,7 +437,7 @@ def summarize(records: list[TrialRecord], strength_threshold: float = 0.7) -> li
         na_rate, na_lo, na_hi = _rate_interval(noaccess, n)
         strong = sum(
             r.classification == Classification.TOT.value
-            and r.tot_strength >= strength_threshold
+            and is_strong(r.tot_strength, strength_threshold)
             for r in recs
         )
         last_by_trial: dict[int, TrialRecord] = {}

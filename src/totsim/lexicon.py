@@ -36,13 +36,10 @@ class WordNode:
     truth: dict[str, BipolarPattern]
     metamemory_ref: dict[str, BipolarPattern]
     slot_map: SlotMap
-    frequency: float = 1.0
 
     def __post_init__(self):
         if not self.id:
             raise ParameterError("word id must be non-empty")
-        if self.frequency < 0:
-            raise ParameterError("word frequency must be >= 0")
         for mapping, what in (
             (self.components, "components"),
             (self.truth, "truth"),
@@ -144,7 +141,6 @@ class WordSpec:
 
     id: str
     patterns: dict[str, BipolarPattern]
-    frequency: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -204,14 +200,12 @@ def build_lexicon(spec: LexiconSpec, rng: np.random.Generator) -> Lexicon:
     """
     if spec.words is not None:
         word_ids = [w.id for w in spec.words]
-        frequencies = [w.frequency for w in spec.words]
         per_component = {
             comp: [w.patterns[comp] for w in spec.words] for comp in COMPONENTS
         }
     else:
         gen = spec.generator
         word_ids = [f"w{i}" for i in range(gen.count)]
-        frequencies = [1.0] * gen.count
         per_component = {
             comp: _generated_patterns(gen, comp, rng) for comp in COMPONENTS
         }
@@ -227,7 +221,6 @@ def build_lexicon(spec: LexiconSpec, rng: np.random.Generator) -> Lexicon:
                 truth=truth,
                 metamemory_ref=dict(truth),
                 slot_map=slot_map,
-                frequency=frequencies[i],
             )
         )
     return Lexicon(tuple(nodes), spec.selection_threshold)

@@ -5,9 +5,9 @@ from totsim.network import train
 from totsim.patterns import BipolarPattern, SlotMap
 
 
-def word_spec(word_id, text, frequency=1.0):
+def word_spec(word_id, text):
     p = BipolarPattern.from_text(text)
-    return WordSpec(id=word_id, patterns={c: p for c in COMPONENTS}, frequency=frequency)
+    return WordSpec(id=word_id, patterns={c: p for c in COMPONENTS})
 
 
 def explicit_word(word_id, pattern, slots=None):

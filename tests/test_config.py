@@ -1,8 +1,16 @@
+import copy
+import json
+import tracemalloc
+from pathlib import Path
+
 import pytest
 
 from totsim.config import normalized_dict, parse_config
 from totsim.errors import ConfigError
 from totsim.lexicon import COMPONENTS
+from totsim.scenarios import SCENARIOS
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def minimal_raw(**overrides):
@@ -276,3 +284,145 @@ class TestValidationErrors:
         with pytest.raises(ConfigError) as e:
             parse_config(raw)
         assert path_of(e) == "damage[0].protected_slots"
+
+    def test_word_frequency_is_an_unknown_field(self):
+        raw = minimal_raw()
+        raw["lexicon"]["words"][0]["frequency"] = 1.0
+        with pytest.raises(ConfigError, match="unknown field") as e:
+            parse_config(raw)
+        assert path_of(e) == "lexicon.words[0].frequency"
+
+    def test_protected_slot_name_must_be_a_string(self):
+        raw = minimal_raw(
+            damage=[
+                {
+                    "word": "apple",
+                    "component": "phonological",
+                    "fraction": 0.5,
+                    "protected_slots": [3],
+                }
+            ]
+        )
+        with pytest.raises(ConfigError) as e:
+            parse_config(raw)
+        assert path_of(e) == "damage[0].protected_slots[0]"
+
+
+def generated_raw(count, **overrides):
+    raw = {
+        "seed": 1,
+        "lexicon": {
+            "generator": {
+                "count": count,
+                "lengths": {"semantic": 9, "lexical": 9, "phonological": 9},
+            }
+        },
+        "target": "w0",
+    }
+    raw.update(overrides)
+    return raw
+
+
+class TestGeneratedWordIds:
+    def test_checking_ids_builds_no_string_per_word(self):
+        count = 10**6
+        raw = generated_raw(
+            count,
+            target=f"w{count - 1}",
+            damage=[{"word": "w12345", "component": "phonological", "fraction": 0.5}],
+            priming=[{"word": "w0", "bonus": 0.2, "decay_trials": 1}],
+        )
+        tracemalloc.start()
+        try:
+            parse_config(raw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("word_id", ["w0", "w7", "w999"])
+    def test_generated_id_accepted(self, word_id):
+        cfg, _ = parse_config(generated_raw(1000, target=word_id))
+        assert cfg.target == word_id
+
+    @pytest.mark.parametrize(
+        "word_id",
+        # w\u0661 is w followed by ARABIC-INDIC DIGIT ONE, a digit to str.isdigit.
+        ["w01", "w00", "w1000", "w", "W1", "w-1", "w+1", "w 1", "w1.0", "w\u0661"]
+        + [pytest.param("w" + "9" * 5000, id="w-and-5000-digits")],
+    )
+    def test_generated_id_rejected(self, word_id):
+        with pytest.raises(ConfigError) as e:
+            parse_config(generated_raw(1000, target=word_id))
+        assert path_of(e) == "target"
+
+
+# A generated lexicon with every optional table in use: slots, protected
+# slots, a per-component cue, chronometry, corruption, priming and all
+# three sweep axes.
+RICH_GENERATED = {
+    "seed": 9,
+    "lexicon": {
+        "selection_threshold": 0.25,
+        "generator": {
+            "count": 20,
+            "lengths": {"semantic": 9, "lexical": 11, "phonological": 15},
+            "min_pairwise_distance": 2,
+        },
+        "slots": {"first_letter": [0, 1, 2], "stress": [5]},
+    },
+    "target": "w3",
+    "semantic_input_flip_rate": 0.05,
+    "recall": {
+        "cue_fraction": {"semantic": 0.2, "lexical": 0.3, "phonological": 0.4},
+        "max_attempts": 8,
+        "link_gain": 0.1,
+        "chronometry": {"spike_ms": 2.0, "interval_ms": 5.0},
+        "strength_threshold": 0.6,
+        "fixed_cue_per_episode": True,
+    },
+    "damage": [
+        {
+            "word": "w3",
+            "component": "phonological",
+            "fraction": 0.3,
+            "protected_slots": ["first_letter"],
+        },
+        {"word": "w4", "component": "lexical", "fraction": 0.1},
+    ],
+    "metamemory_corruption": [{"word": "w3", "component": "phonological", "flips": 2}],
+    "priming": [{"word": "w5", "bonus": 0.2, "decay_trials": 3}],
+    "episodes_per_trial": 2,
+    "n_trials": 10,
+    "sweep": {"q": [0.1, 0.2], "d": [0.0, 0.5], "flip_rate": [0.0, 0.1]},
+}
+
+ROUND_TRIP = {
+    **{path.name: json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))},
+    **{f"scenarios.{name}": builder() for name, builder in SCENARIOS.items()},
+    "rich_generated": RICH_GENERATED,
+}
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("name", sorted(ROUND_TRIP))
+    def test_normalized_config_parses_back_unchanged(self, name):
+        cfg, _ = parse_config(copy.deepcopy(ROUND_TRIP[name]))
+        echoed, defaults = parse_config(normalized_dict(cfg))
+        assert echoed == cfg
+        assert defaults == []
+
+    def test_omitted_object_is_listed_once(self):
+        _, defaults = parse_config(minimal_raw())
+        assert "recall" in defaults
+        assert not [path for path in defaults if path.startswith("recall.")]
+
+    def test_omitted_alternatives_and_axes_are_not_listed(self):
+        raw = copy.deepcopy(RICH_GENERATED)
+        del raw["damage"][0]["protected_slots"]
+        del raw["sweep"]["q"]
+        _, defaults = parse_config(raw)
+        assert defaults == []
+        del raw["sweep"]
+        _, defaults = parse_config(raw)
+        assert defaults == []

@@ -13,6 +13,7 @@ field names, so `normalized_dict` is `asdict` with two fix-ups.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
@@ -47,7 +48,13 @@ def _join(path: str, key) -> str:
 def _as_number(value, path: str, lo=None, hi=None, lo_open=False, hi_open=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    x = float(value)
+    # json.loads reads NaN and Infinity, and NaN passes every range check.
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
     if lo is not None and (x < lo or (lo_open and x == lo)):
         raise ConfigError(path, f"value {value} below allowed range")
     if hi is not None and (x > hi or (hi_open and x == hi)):

@@ -307,35 +307,63 @@ def run_one_trial(
     return records
 
 
-def _run_trial_range(args) -> list[TrialRecord]:
-    cfg, lex, point, lo, hi = args
+def _run_trial_range(
+    cfg: ScenarioConfig, lex: Lexicon, point: SweepPoint, lo: int, hi: int
+) -> list[TrialRecord]:
     records: list[TrialRecord] = []
     for trial in range(lo, hi):
         records.extend(run_one_trial(cfg, lex, point, trial))
     return records
 
 
+# Each pool worker's damaged lexicon per sweep point index, set once by
+# `_init_worker` so that tasks need not carry a lexicon.
+_worker_lexicons: dict[int, Lexicon] = {}
+
+
+def _init_worker(lexicons: dict[int, Lexicon]) -> None:
+    global _worker_lexicons
+    _worker_lexicons = lexicons
+
+
+def _run_task(task) -> list[TrialRecord]:
+    cfg, point, lo, hi = task
+    return _run_trial_range(cfg, _worker_lexicons[point.index], point, lo, hi)
+
+
 def run_trials(cfg: ScenarioConfig, workers: int = 1) -> list[TrialRecord]:
     """Run the whole scenario; record content is a pure function of the
-    config and seed, independent of the worker count."""
+    config and seed, independent of the worker count.
+
+    When the trials are split over workers, every point's damaged lexicon
+    is built up front and one process pool serves the whole run: each
+    worker receives the lexicons once, through the pool initializer, and
+    each task is one trial range `(cfg, point, lo, hi)`. Records come back
+    in point order, then trial order.
+    """
     if workers < 1:
         raise ParameterError("workers must be >= 1")
     base = build_scenario_lexicon(cfg)
+    points = sweep_points(cfg)
     records: list[TrialRecord] = []
-    for point in sweep_points(cfg):
-        lex = damaged_lexicon(cfg, base, point)
-        if workers == 1 or cfg.n_trials < 2 * workers:
-            records.extend(_run_trial_range((cfg, lex, point, 0, cfg.n_trials)))
-            continue
-        bounds = np.linspace(0, cfg.n_trials, workers + 1, dtype=int)
-        tasks = [
-            (cfg, lex, point, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_run_trial_range, tasks):
-                records.extend(chunk)
+    if workers == 1 or cfg.n_trials < 2 * workers:
+        for point in points:
+            lex = damaged_lexicon(cfg, base, point)
+            records.extend(_run_trial_range(cfg, lex, point, 0, cfg.n_trials))
+        return records
+    lexicons = {point.index: damaged_lexicon(cfg, base, point) for point in points}
+    bounds = np.linspace(0, cfg.n_trials, workers + 1, dtype=int).tolist()
+    tasks = [
+        (cfg, point, lo, hi)
+        for point in points
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+        if hi > lo
+    ]
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(lexicons,)
+    ) as pool:
+        for chunk in pool.map(_run_task, tasks):
+            records.extend(chunk)
     return records
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, GenerationError, ParameterError
 from .network import ComponentNetwork, train
-from .patterns import BipolarPattern, SlotMap, exact_fraction, hamming, overlap, random_pattern
+from .patterns import BipolarPattern, SlotMap, exact_fraction, overlap, random_pattern
 
 COMPONENTS = ("semantic", "lexical", "phonological")
 
@@ -62,7 +62,12 @@ class WordNode:
 
 @dataclass(frozen=True, eq=False)
 class Lexicon:
-    """All word nodes plus the selection threshold."""
+    """All word nodes plus the selection threshold.
+
+    Selection reads the semantic truths as one read-only `(words, N)` int64
+    matrix whose rows are in id order, so a tie on the score goes to the
+    first row; `_row` maps each id to its row.
+    """
 
     nodes: tuple[WordNode, ...]
     selection_threshold: float
@@ -79,12 +84,18 @@ class Lexicon:
             lengths = {node.component_length(comp) for node in self.nodes}
             if len(lengths) > 1:
                 raise DimensionError(f"nodes disagree on {comp} length: {sorted(lengths)}")
+        by_id = tuple(sorted(self.nodes, key=lambda node: node.id))
+        semantic = np.array([node.truth["semantic"].units for node in by_id], dtype=np.int64)
+        semantic.flags.writeable = False
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_row", {node.id: i for i, node in enumerate(by_id)})
+        object.__setattr__(self, "_semantic", semantic)
 
     def node_by_id(self, word_id: str) -> WordNode:
-        for node in self.nodes:
-            if node.id == word_id:
-                return node
-        raise ConfigError("lexicon", f"unknown word id {word_id!r}")
+        row = self._row.get(word_id)
+        if row is None:
+            raise ConfigError("lexicon", f"unknown word id {word_id!r}")
+        return self._by_id[row]
 
     def component_length(self, component: str) -> int:
         if not self.nodes:
@@ -101,24 +112,35 @@ class Lexicon:
         (ties to the lexicographically smallest id) and doubles as the
         selection completeness; below the threshold nothing is selected and
         None is returned.
+
+        One matmul gives every overlap. Without a bonus a node's score is
+        max(0, overlap) / N, so the best unprimed node is the first row of
+        maximal overlap; when no overlap is positive its score 0 is below
+        every threshold, so which row holds it does not matter. Only primed
+        nodes are scored one by one.
         """
         if not self.nodes:
             raise ConfigError("lexicon", "lexicon has no word nodes")
-        n = self.component_length("semantic")
+        n = self._semantic.shape[1]
         if len(semantic_input) != n:
             raise DimensionError(
                 f"semantic input length {len(semantic_input)} != lexicon length {n}"
             )
-        best_node = None
-        best_score = -1.0
-        for node in self.nodes:
-            score = max(0.0, overlap(semantic_input, node.truth["semantic"]) / n)
-            score = min(1.0, score + bonuses.get(node.id, 0.0))
-            if score > best_score or (score == best_score and node.id < best_node.id):
-                best_node, best_score = node, score
+        overlaps = (self._semantic @ semantic_input.units).tolist()
+        primed = {}
+        for word_id, bonus in bonuses.items():
+            row = self._row.get(word_id)
+            if row is not None:
+                primed[row] = min(1.0, max(0.0, overlaps[row] / n) + bonus)
+                overlaps[row] = -n  # out of the unprimed ranking
+        top = max(overlaps)
+        best_row, best_score = overlaps.index(top), max(0, top) / n
+        for row, score in primed.items():
+            if score > best_score or (score == best_score and row < best_row):
+                best_row, best_score = row, score
         if best_score < self.selection_threshold:
             return None
-        return best_node, best_score
+        return self._by_id[best_row], best_score
 
 
 def exact_completeness(semantic_input: BipolarPattern, node: WordNode, bonus: float) -> Fraction:
@@ -176,11 +198,16 @@ def _generated_patterns(
         raise GenerationError(
             f"min pairwise distance {minimum} impossible at {component} length {n}"
         )
+    # A candidate is placed when its overlap with every accepted word is at
+    # most n - 2 * minimum, i.e. its Hamming distance is at least `minimum`.
+    limit = n - 2 * minimum
+    accepted = np.empty((gen.count, n), dtype=np.int64)
     patterns: list[BipolarPattern] = []
     for i in range(gen.count):
         for _ in range(_GENERATION_RETRY_BUDGET):
             candidate = random_pattern(n, rng)
-            if all(hamming(candidate, prev) >= minimum for prev in patterns):
+            if i == 0 or (accepted[:i] @ candidate.units).max() <= limit:
+                accepted[i] = candidate.units
                 patterns.append(candidate)
                 break
         else:

@@ -117,10 +117,14 @@ class ComponentNetwork:
         if not 0 <= fraction <= 1:
             raise ParameterError(f"mask fraction must be in [0, 1], got {fraction}")
         k = floor_count(fraction, self.n)
-        chosen = rng.choice(self.n, size=k, replace=False)
-        return ComponentNetwork(
-            self.w_int, self.stored, self.damage_fraction, self.mask | set(int(i) for i in chosen)
+        mask = self.mask.union(rng.choice(self.n, size=k, replace=False).tolist())
+        # The masked network shares this network's validated read-only
+        # matrix, so it skips the copy and symmetry check of __post_init__.
+        masked = object.__new__(ComponentNetwork)
+        masked.__dict__.update(
+            self.__dict__, mask=mask, _mask_arr=np.array(sorted(mask), dtype=np.int64)
         )
+        return masked
 
     def dump_weights(self) -> str:
         """Row-major decimal dump of the scaled weight matrix, for inspection."""

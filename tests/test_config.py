@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from totsim.config import normalized_dict, parse_config
+from totsim.config import load_raw_config, normalized_dict, parse_config
 from totsim.errors import ConfigError
 from totsim.lexicon import COMPONENTS
 from totsim.scenarios import SCENARIOS
@@ -306,6 +306,69 @@ class TestValidationErrors:
         with pytest.raises(ConfigError) as e:
             parse_config(raw)
         assert path_of(e) == "damage[0].protected_slots[0]"
+
+
+def _set(raw, path, value):
+    """Set a dotted path with `[i]` list steps, e.g. `damage[0].fraction`."""
+    *parents, last = path.replace("[", ".[").split(".")
+    node = raw
+    for key in parents:
+        node = node[int(key[1:-1])] if key.startswith("[") else node[key]
+    if last.startswith("["):
+        node[int(last[1:-1])] = value
+    else:
+        node[last] = value
+
+
+class TestNonFiniteNumbers:
+    """`json.loads` reads bare NaN, Infinity and -Infinity; every range check
+    compares false on NaN, so each number must be checked for finiteness."""
+
+    PATHS = [
+        "semantic_input_flip_rate",
+        "lexicon.selection_threshold",
+        "damage[0].fraction",
+        "sweep.d[0]",
+        "recall.chronometry.spike_ms",
+    ]
+
+    def raw(self):
+        raw = minimal_raw(
+            damage=[{"word": "apple", "component": "phonological", "fraction": 0.5}],
+            sweep={"d": [0.1, 0.5]},
+            recall={"chronometry": {"spike_ms": 1.0}},
+        )
+        raw["semantic_input_flip_rate"] = 0.1
+        raw["lexicon"]["selection_threshold"] = 0.3
+        return raw
+
+    def test_the_finite_config_parses(self):
+        parse_config(self.raw())
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("path", PATHS)
+    def test_rejected_with_its_path(self, path, value):
+        raw = self.raw()
+        _set(raw, path, json.loads(value))
+        with pytest.raises(ConfigError, match="finite") as e:
+            parse_config(raw)
+        assert path_of(e) == path
+
+    def test_rejected_from_json_text(self, tmp_path):
+        config = tmp_path / "config.json"
+        raw = self.raw()
+        raw["semantic_input_flip_rate"] = 0.125
+        config.write_text(json.dumps(raw).replace("0.125", "NaN"))
+        with pytest.raises(ConfigError) as e:
+            parse_config(load_raw_config(config))
+        assert path_of(e) == "semantic_input_flip_rate"
+
+    def test_integer_too_large_for_a_float_rejected(self):
+        raw = self.raw()
+        raw["recall"]["chronometry"]["spike_ms"] = 10**400
+        with pytest.raises(ConfigError, match="finite") as e:
+            parse_config(raw)
+        assert path_of(e) == "recall.chronometry.spike_ms"
 
 
 def generated_raw(count, **overrides):

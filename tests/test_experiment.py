@@ -1,10 +1,13 @@
 import itertools
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.random import SeedSequence, default_rng
 
+from totsim import experiment
 from totsim.config import parse_config
 from totsim.errors import CapacityError, DimensionError, ParameterError
 from totsim.experiment import (
@@ -144,6 +147,60 @@ class TestRunTrials:
     def test_workers_must_be_positive(self):
         with pytest.raises(ParameterError):
             run_trials(single_word_cfg(), workers=0)
+
+
+def damaged_sweep_cfg():
+    """20 generated words and three damage points, each with its own damaged
+    lexicon; 7 trials split unevenly over 2 or 3 workers."""
+    raw = {
+        "seed": 5,
+        "lexicon": {
+            "generator": {
+                "count": 20,
+                "lengths": {"semantic": 12, "lexical": 10, "phonological": 11},
+                "min_pairwise_distance": 2,
+            }
+        },
+        "target": "w3",
+        "semantic_input_flip_rate": 0.2,
+        "recall": {"cue_fraction": 0.5, "max_attempts": 6},
+        "damage": [
+            {"word": "w3", "component": "phonological", "fraction": 0.1},
+            {"word": "w12", "component": "semantic", "fraction": 0.4},
+        ],
+        "episodes_per_trial": 2,
+        "n_trials": 7,
+        "sweep": {"d": [0.0, 0.3, 0.6]},
+    }
+    cfg, _ = parse_config(raw)
+    return cfg
+
+
+class TestProcessPool:
+    def test_records_equal_at_one_two_and_three_workers(self):
+        cfg = damaged_sweep_cfg()
+        serial = run_trials(cfg, workers=1)
+        assert {r.sweep_d for r in serial} == {0.0, 0.3, 0.6}
+        assert run_trials(cfg, workers=2) == serial
+        assert run_trials(cfg, workers=3) == serial
+
+    def test_one_pool_serves_every_sweep_point(self, monkeypatch):
+        pools = []
+
+        def counting_pool(*args, **kwargs):
+            pools.append(kwargs)
+            return ProcessPoolExecutor(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", counting_pool)
+        cfg = damaged_sweep_cfg()
+        run_trials(cfg, workers=2)
+        assert len(pools) == 1
+        assert sorted(pools[0]["initargs"][0]) == [0, 1, 2]
+
+    def test_few_trials_run_serially(self, monkeypatch):
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", None)  # any call fails
+        cfg = replace(damaged_sweep_cfg(), n_trials=3)
+        assert run_trials(cfg, workers=2) == run_trials(cfg, workers=1)
 
 
 class TestExactSuccessProb:

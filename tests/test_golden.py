@@ -12,6 +12,12 @@ field left the config schema: each run_meta.json lost its
 `lexicon.words[i].frequency` keys and the matching `defaults_applied`
 entries, and nothing else changed. The records and summary digests are
 those of stream version 2 as first pinned.
+
+No shipped config generates its lexicon, so `GENERATED` pins one more
+bundle: 300 generated words with damage, metamemory corruption, priming and
+a 2 x 2 sweep, in both formats. Its digests were taken before selection and
+generation were vectorized, so they show that both still consume the
+streams and rank the words exactly as the per-node loops did.
 """
 
 import hashlib
@@ -104,10 +110,58 @@ GOLDEN_JSON = {
 }
 
 
+GENERATED_CONFIG = {
+    "seed": 11,
+    "lexicon": {
+        "selection_threshold": 0.3,
+        "generator": {
+            "count": 300,
+            "lengths": {"semantic": 16, "lexical": 14, "phonological": 15},
+            "min_pairwise_distance": 3,
+        },
+        "slots": {"first_letter": [0, 1, 2]},
+    },
+    "target": "w2",
+    "semantic_input_flip_rate": 0.1,
+    "recall": {"cue_fraction": 0.6, "max_attempts": 6, "link_gain": 0.2},
+    "damage": [
+        {
+            "word": "w2",
+            "component": "phonological",
+            "fraction": 0.2,
+            "protected_slots": ["first_letter"],
+        },
+        {"word": "w10", "component": "semantic", "fraction": 0.3},
+    ],
+    "metamemory_corruption": [{"word": "w10", "component": "lexical", "flips": 2}],
+    "priming": [{"word": "w10", "bonus": 0.25, "decay_trials": 4}],
+    "episodes_per_trial": 2,
+    "n_trials": 7,
+    "sweep": {"d": [0.1, 0.4], "flip_rate": [0.15, 0.35]},
+}
+
+GENERATED = {
+    "csv": {
+        "records.csv": "a23a0ae275b0854196c97bded8685bb15838093162abaecaf75c9261b96ef1a9",
+        "run_meta.json": "56a7145444556518f628dd11a6f0d2fece06615df7b16197cc3d2cf26238a4a3",
+        "summary.csv": "cbdbb274ef1b619ca493e8977c100aca8592ed8d10087e3eac667ac273996bc2",
+    },
+    "json": {
+        "records.json": "d5b1f48447c0afa3cbbd3ffbf3bf65ed1de7845b005acdfe322117192c0cacac",
+        "run_meta.json": "79230bbc8099a3ee0df6ad2a4438e59d6ee11de282a680bfd8b3913696b14243",
+        "summary.json": "fcae968188e8608dbb6f11959d14aeee468ae30c847d3e4f1e51839474e0c354",
+    },
+}
+
+
 def bundle(name, tmp_path, fmt="csv"):
     raw = json.loads((CONFIGS / name).read_text())
     raw["n_trials"] = N_TRIALS
-    config = tmp_path / name
+    return bundle_of(raw, tmp_path, fmt)
+
+
+def bundle_of(raw, tmp_path, fmt):
+    config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(config), "--out", str(out), "--format", fmt]) == 0
@@ -131,3 +185,8 @@ def test_output_bytes_are_pinned(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
 def test_json_output_bytes_are_pinned(name, tmp_path):
     assert bundle(name, tmp_path, "json") == GOLDEN_JSON[name]
+
+
+@pytest.mark.parametrize("fmt", sorted(GENERATED))
+def test_generated_lexicon_bytes_are_pinned(fmt, tmp_path):
+    assert bundle_of(GENERATED_CONFIG, tmp_path, fmt) == GENERATED[fmt]

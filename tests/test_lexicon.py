@@ -1,8 +1,10 @@
 from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import assume, given, strategies as st
 from numpy.random import SeedSequence, default_rng
 
+from totsim import lexicon as lexicon_module
 from totsim.errors import ConfigError, DimensionError, GenerationError, ParameterError
 from totsim.experiment import PrimingEntry, ScenarioConfig, materialize_bonuses
 from totsim.lexicon import (
@@ -16,7 +18,7 @@ from totsim.lexicon import (
 from totsim.patterns import BipolarPattern, hamming
 from totsim.recall import RecallParams
 
-from helpers import explicit_word, word_spec
+from helpers import explicit_word, reference_generated_patterns, reference_select, word_spec
 
 
 def explicit_lexicon(*specs, threshold=0.3, slots=None):
@@ -59,6 +61,20 @@ class TestBuildLexicon:
         b = build_lexicon(spec, default_rng(SeedSequence(6)))
         for na, nb in zip(a.nodes, b.nodes):
             assert na.truth == nb.truth
+
+    @given(st.integers(1, 40), st.integers(1, 12), st.integers(0, 4), st.integers(0, 2**32 - 1))
+    def test_generation_matches_the_per_pair_loop(self, count, n, minimum, seed):
+        assume(minimum <= n)
+        gen = GeneratorSpec(count, {c: n for c in COMPONENTS}, minimum)
+        rng, twin = default_rng(seed), default_rng(seed)
+        try:
+            want = reference_generated_patterns(gen, "lexical", twin)
+        except GenerationError:
+            with pytest.raises(GenerationError):
+                lexicon_module._generated_patterns(gen, "lexical", rng)
+            return
+        assert lexicon_module._generated_patterns(gen, "lexical", rng) == want
+        assert rng.random() == twin.random()
 
     def test_unsatisfiable_distance_reported(self):
         # At length 4, distance 4 means exact complement: no 3 words fit.
@@ -185,6 +201,81 @@ class TestSelectNode:
         lex = explicit_lexicon(word_spec("a", "+++"))
         with pytest.raises(DimensionError):
             lex.select_node(BipolarPattern([1, 1]))
+
+
+# Ids whose lexicographic order differs from their numeric order ("w10" < "w2").
+IDS = ("w0", "w1", "w2", "w10", "w11", "w20", "alpha", "zeta")
+
+
+@st.composite
+def selections(draw):
+    """A lexicon drawn from few distinct patterns (so overlaps tie across
+    ids), a semantic input (sometimes the negation of a word, so no overlap
+    is positive) and bonuses that may exceed the cap, name no word or, as
+    the API allows but no config does, be negative."""
+    n = draw(st.integers(1, 8))
+    pattern = st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n).map(BipolarPattern)
+    pool = draw(st.lists(pattern, min_size=1, max_size=3))
+    ids = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=len(IDS), unique=True))
+    nodes = tuple(explicit_word(i, draw(st.sampled_from(pool))) for i in ids)
+    lex = Lexicon(nodes, draw(st.sampled_from((0.01, 0.3, 0.5, 1.0))))
+    x = draw(st.one_of(pattern, st.sampled_from(pool).map(BipolarPattern.negate)))
+    bonus = st.one_of(st.sampled_from((0.0, 0.25, 1.0, -0.5)), st.floats(-1.0, 1.0))
+    bonuses = draw(st.dictionaries(st.sampled_from(IDS + ("ghost",)), bonus, max_size=4))
+    return lex, x, bonuses
+
+
+class TestSelectionMatchesPerNodeLoop:
+    @given(selections())
+    def test_select_node_matches_the_reference(self, case):
+        lex, x, bonuses = case
+        got = lex.select_node(x, bonuses)
+        want = reference_select(lex, x, bonuses)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert got[0] is want[0] and got[1] == want[1]
+
+    @given(selections(), st.sampled_from((-1, 1)))
+    def test_wrong_input_length_raises(self, case, delta):
+        lex, x, bonuses = case
+        length = len(x) + delta if len(x) + delta > 0 else len(x) + 1
+        with pytest.raises(DimensionError):
+            lex.select_node(BipolarPattern([1] * length), bonuses)
+
+    def test_tie_across_numbered_ids_goes_to_the_smaller_string(self):
+        p = BipolarPattern.from_text("++-+--++-")
+        lex = Lexicon(tuple(explicit_word(i, p) for i in ("w2", "w10", "w3")), 0.3)
+        assert lex.select_node(p)[0].id == "w10"
+        assert lex.select_node(p, {"w2": 0.5})[0].id == "w10"  # both capped at 1
+
+    def test_no_positive_overlap_selects_only_a_primed_word(self):
+        p = BipolarPattern.from_text("++++")
+        lex = Lexicon(tuple(explicit_word(i, p) for i in ("w2", "w10", "w3")), 0.2)
+        assert lex.select_node(p.negate()) is None
+        node, score = lex.select_node(p.negate(), {"w10": 0.1, "w3": 0.25, "ghost": 0.9})
+        assert node.id == "w3" and score == 0.25
+
+    def test_negative_bonus_on_the_best_word_hands_selection_on(self):
+        a = BipolarPattern([1] * 16)
+        b = BipolarPattern([1] * 10 + [-1] * 6)
+        x = a.with_flipped([8, 9, 10, 11])  # overlaps: a 0.5, b 0.25
+        lex = Lexicon((explicit_word("a", a), explicit_word("b", b)), 0.1)
+        node, score = lex.select_node(x, {"a": -0.4})
+        assert node.id == "b" and score == 0.25
+
+    def test_selection_makes_no_per_node_overlap_call(self, monkeypatch):
+        lengths = {c: 15 for c in COMPONENTS}
+        spec = LexiconSpec(generator=GeneratorSpec(300, lengths, min_pairwise_distance=3))
+        lex = build_lexicon(spec, default_rng(SeedSequence(9)))
+        calls = []
+        real = lexicon_module.overlap
+        monkeypatch.setattr(lexicon_module, "overlap", lambda *a: calls.append(1) or real(*a))
+        x = lex.node_by_id("w7").truth["semantic"]
+        assert lex.select_node(x)[0].id == "w7"
+        assert lex.select_node(x, {"w8": 1.0, "w9": 0.1})[0].id == "w7"
+        assert calls == []
 
 
 class TestCorruptMetamemory:

@@ -26,6 +26,19 @@ def hadamard_patterns(n):
     return [BipolarPattern(row) for row in h]
 
 
+class TestConstruction:
+    def test_writable_matrix_is_copied(self):
+        w = np.array([[1, -1], [-1, 1]], dtype=np.int64)
+        net = ComponentNetwork(w, (BipolarPattern([1, -1]),))
+        w[0, 0] = 5
+        assert net.w_int[0, 0] == 1
+        assert not net.w_int.flags.writeable
+
+    def test_asymmetric_matrix_rejected(self):
+        with pytest.raises(ParameterError):
+            ComponentNetwork(np.array([[1, 1], [-1, 1]]), (BipolarPattern([1, 1]),))
+
+
 class TestTrain:
     def test_single_pattern_weights(self):
         p = BipolarPattern([1, -1, -1, 1])
@@ -212,6 +225,16 @@ class TestApplyMask:
         zeroed = ComponentNetwork(w, net.stored)
         for probe in all_probes(7):
             assert masked.retrieve_once(probe) == zeroed.retrieve_once(probe)
+
+    def test_masked_network_shares_the_matrix_and_draws_once(self):
+        net = train([random_pattern(15, default_rng(25))]).damage(0.2, default_rng(26))
+        rng, twin = default_rng(27), default_rng(27)
+        masked = net.apply_mask(0.375, rng)  # floor(0.375 * 15) = 5 units
+        assert masked.w_int is net.w_int
+        assert masked.mask == frozenset(twin.choice(15, size=5, replace=False).tolist())
+        assert rng.random() == twin.random()
+        assert masked.stored is net.stored
+        assert masked.damage_fraction == net.damage_fraction and net.mask == frozenset()
 
     def test_mask_union_with_existing(self):
         p = random_pattern(10, default_rng(22))

@@ -13,7 +13,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .errors import CapacityError, ConfigError, DimensionError, ParameterError
-from .lexicon import COMPONENTS, Lexicon, LexiconSpec, WordNode, build_lexicon, corrupt_metamemory
+from .lexicon import COMPONENTS, Lexicon, LexiconSpec, WordNode, corrupt_metamemory, word_nodes
 from .network import ComponentNetwork
 from .patterns import BipolarPattern, flip_by_rate
 from .recall import Classification, RecallOutcome, RecallParams, chronometry, is_strong, recall_word
@@ -166,18 +166,15 @@ def build_scenario_lexicon(cfg: ScenarioConfig) -> Lexicon:
     Uses dedicated child streams so the same words appear at every sweep
     point and corruption does not shift the generator draws.
     """
-    lex = build_lexicon(cfg.lexicon, default_rng(SeedSequence((cfg.seed, SEED_TAG_LEXICON))))
-    if not cfg.metamemory_corruption:
-        return lex
-    rng = default_rng(SeedSequence((cfg.seed, SEED_TAG_METAMEMORY)))
-    nodes = {node.id: node for node in lex.nodes}
-    for entry in cfg.metamemory_corruption:
-        nodes[entry.word] = corrupt_metamemory(
-            nodes[entry.word], entry.component, entry.flips, rng
-        )
-    return Lexicon(
-        tuple(nodes[node.id] for node in lex.nodes), lex.selection_threshold
-    )
+    rng = default_rng(SeedSequence((cfg.seed, SEED_TAG_LEXICON)))
+    nodes = list(word_nodes(cfg.lexicon, rng))
+    if cfg.metamemory_corruption:
+        rng = default_rng(SeedSequence((cfg.seed, SEED_TAG_METAMEMORY)))
+        row = {node.id: i for i, node in enumerate(nodes)}
+        for entry in cfg.metamemory_corruption:
+            i = row[entry.word]
+            nodes[i] = corrupt_metamemory(nodes[i], entry.component, entry.flips, rng)
+    return Lexicon(tuple(nodes), cfg.lexicon.selection_threshold)
 
 
 def _slot_indices(node: WordNode, slot_names) -> list[int]:

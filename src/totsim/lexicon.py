@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, GenerationError, ParameterError
 from .network import ComponentNetwork, train
-from .patterns import BipolarPattern, SlotMap, exact_fraction, overlap, random_pattern
+from .patterns import BipolarPattern, SlotMap, exact_fraction, overlap
 
 COMPONENTS = ("semantic", "lexical", "phonological")
 
@@ -201,25 +201,25 @@ def _generated_patterns(
     # A candidate is placed when its overlap with every accepted word is at
     # most n - 2 * minimum, i.e. its Hamming distance is at least `minimum`.
     limit = n - 2 * minimum
+    # Candidates are drawn as `random_pattern` draws them; only placed rows
+    # become patterns.
     accepted = np.empty((gen.count, n), dtype=np.int64)
-    patterns: list[BipolarPattern] = []
     for i in range(gen.count):
         for _ in range(_GENERATION_RETRY_BUDGET):
-            candidate = random_pattern(n, rng)
-            if i == 0 or (accepted[:i] @ candidate.units).max() <= limit:
-                accepted[i] = candidate.units
-                patterns.append(candidate)
+            candidate = rng.integers(0, 2, size=n) * 2 - 1
+            if i == 0 or (accepted[:i] @ candidate).max() <= limit:
+                accepted[i] = candidate
                 break
         else:
             raise GenerationError(
                 f"could not place {component} pattern for word {i} with min "
                 f"pairwise distance {minimum} in {_GENERATION_RETRY_BUDGET} tries"
             )
-    return patterns
+    return [BipolarPattern(row) for row in accepted]
 
 
-def build_lexicon(spec: LexiconSpec, rng: np.random.Generator) -> Lexicon:
-    """Construct a lexicon of trained, undamaged word nodes.
+def word_nodes(spec: LexiconSpec, rng: np.random.Generator) -> tuple[WordNode, ...]:
+    """The trained, undamaged word nodes of a lexicon, in declaration order.
 
     Deterministic given the stream state. Random generation that cannot
     satisfy the minimum-distance constraint within the retry budget raises
@@ -250,7 +250,12 @@ def build_lexicon(spec: LexiconSpec, rng: np.random.Generator) -> Lexicon:
                 slot_map=slot_map,
             )
         )
-    return Lexicon(tuple(nodes), spec.selection_threshold)
+    return tuple(nodes)
+
+
+def build_lexicon(spec: LexiconSpec, rng: np.random.Generator) -> Lexicon:
+    """The lexicon of `word_nodes(spec, rng)`."""
+    return Lexicon(word_nodes(spec, rng), spec.selection_threshold)
 
 
 def corrupt_metamemory(

@@ -16,11 +16,10 @@ class ComponentNetwork:
     """A trained two-layer auto-associative network for one word component.
 
     `w_int` holds n times the weight matrix as exact integers: the sum of
-    outer products of the stored patterns, diagonal retained. `weights`
-    exposes the conventional (1/n)-scaled real matrix. Retrieval evaluates
-    unit signs on the integer matrix, which is sign-equivalent to the scaled
-    form and free of float rounding, so ties (activation exactly zero) are
-    detected exactly.
+    outer products of the stored patterns, diagonal retained. Retrieval
+    evaluates unit signs on this integer matrix, which is sign-equivalent to
+    the (1/n)-scaled real matrix and free of float rounding, so ties
+    (activation exactly zero) are detected exactly.
 
     Degradation comes in two flavors: `damage` zeroes symmetric weight pairs
     (lost stored information, trait-like), `apply_mask` silences whole units
@@ -51,11 +50,6 @@ class ComponentNetwork:
     @property
     def n(self) -> int:
         return self.w_int.shape[0]
-
-    @property
-    def weights(self) -> np.ndarray:
-        """The real weight matrix W = w_int / n."""
-        return self.w_int / self.n
 
     def retrieve_once(self, probe):
         """One synchronous pass: output_i = sgn(sum_j W_ij probe_j).
@@ -125,12 +119,6 @@ class ComponentNetwork:
             self.__dict__, mask=mask, _mask_arr=np.array(sorted(mask), dtype=np.int64)
         )
         return masked
-
-    def dump_weights(self) -> str:
-        """Row-major decimal dump of the scaled weight matrix, for inspection."""
-        return "\n".join(
-            " ".join(repr(v) for v in row) for row in self.weights.tolist()
-        )
 
 
 def train(patterns) -> ComponentNetwork:

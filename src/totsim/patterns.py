@@ -185,11 +185,6 @@ def floor_count(fraction, total: int) -> int:
     return math.floor(exact_fraction(fraction) * total)
 
 
-def hamming(a: BipolarPattern, b: BipolarPattern) -> int:
-    """Number of differing units; overlap = N - 2 * hamming."""
-    return (len(a) - overlap(a, b)) // 2
-
-
 def flip_by_rate(p: BipolarPattern, rate: float, rng: np.random.Generator) -> BipolarPattern:
     """Flip each unit independently with probability `rate`.
 

@@ -1,175 +1,27 @@
-"""Canonical scenario configs for the classic retrieval effects.
+"""The shipped scenario configs, loaded by name.
 
-Each builder returns a plain config dict ready for `parse_config`, the CLI,
-or `json.dump`. They encode the qualitative phenomena the simulator is
-meant to reproduce: cue intensity and damage effects, priming of an
-interloper, illusory TOTs with a corrupted comparator reference, partial
-information recovery from a protected slot, and delayed resolution across
-episodes.
+Each file `configs/<name>.json` of the checkout is the one source of a
+classic retrieval effect (see the README's scenario table); its stem is the
+scenario's name.
 """
 
 from __future__ import annotations
 
-_WORD9 = "++-+--++-"
-_WORD15 = "++-+--++-+-++--"
+import json
+from pathlib import Path
+
+from .errors import ConfigError
+
+CONFIGS = Path(__file__).resolve().parents[2] / "configs"
 
 
-def _single_word_lexicon(pattern: str, slots: dict | None = None) -> dict:
-    lex = {
-        "selection_threshold": 0.3,
-        "words": [
-            {
-                "id": "target",
-                "semantic": pattern,
-                "lexical": pattern,
-                "phonological": pattern,
-            }
-        ],
-    }
-    if slots is not None:
-        lex["slots"] = slots
-    return lex
+def names() -> list[str]:
+    """The shipped scenario names, sorted."""
+    return sorted(path.stem for path in CONFIGS.glob("*.json"))
 
 
-def free_recall_baseline(seed: int = 1, n_trials: int = 10000) -> dict:
-    """Free recall on an intact single-word lexicon: per-attempt success is
-    exactly 1/2 at odd length, attempts are geometric."""
-    return {
-        "seed": seed,
-        "lexicon": _single_word_lexicon(_WORD9),
-        "target": "target",
-        "recall": {"cue_fraction": 0.0, "max_attempts": 64},
-        "n_trials": n_trials,
-    }
-
-
-def cue_intensity_sweep(seed: int = 2, n_trials: int = 2000) -> dict:
-    """Resolution rate rises with the fraction of true information in the probe."""
-    cfg = free_recall_baseline(seed=seed, n_trials=n_trials)
-    cfg["sweep"] = {"q": [0.0, 1 / 9, 2 / 9, 3 / 9, 4 / 9, 5 / 9]}
-    return cfg
-
-
-def damage_sweep(seed: int = 3, n_trials: int = 2000) -> dict:
-    """TOT rate rises with phonological damage: a proxy for aging and
-    patient-population gradients."""
-    return {
-        "seed": seed,
-        "lexicon": _single_word_lexicon(_WORD9),
-        "target": "target",
-        "recall": {
-            "cue_fraction": {"semantic": 1.0, "lexical": 1.0, "phonological": 0.2},
-            "max_attempts": 8,
-        },
-        "damage": [{"word": "target", "component": "phonological", "fraction": 0.0}],
-        "sweep": {"d": [0.0, 0.2, 0.4, 0.6, 0.8]},
-        "n_trials": n_trials,
-    }
-
-
-def priming_interloper(seed: int = 4, n_trials: int = 2000) -> dict:
-    """A primed neighbor wins selection while the prime lasts.
-
-    The semantic input is a weak version of the target (high flip rate), so
-    a priming bonus on the neighbor flips the argmax for the first half of
-    the trials; afterwards selection reverts to the target. Recall against
-    the wrong node shows up as TOTs/resolutions for an incorrect item.
-    """
-    return {
-        "seed": seed,
-        "lexicon": {
-            "selection_threshold": 0.2,
-            "words": [
-                {
-                    "id": "neighbor",
-                    "semantic": "---+++---+++---",
-                    "lexical": _WORD15,
-                    "phonological": _WORD15,
-                },
-                {
-                    "id": "target",
-                    "semantic": "+++---+++---+++",
-                    "lexical": "--++--++--++--+",
-                    "phonological": "--++--++--++--+",
-                },
-            ],
-        },
-        "target": "target",
-        "semantic_input_flip_rate": 0.3,
-        "recall": {"cue_fraction": 0.6, "max_attempts": 16},
-        "priming": [
-            {"word": "neighbor", "bonus": 0.7, "decay_trials": n_trials // 2}
-        ],
-        "n_trials": n_trials,
-    }
-
-
-def illusory_tot(seed: int = 5, n_trials: int = 2000) -> dict:
-    """A corrupted phonological comparator reference can never be satisfied:
-    every trial is a persistent TOT for an incorrect item."""
-    return {
-        "seed": seed,
-        "lexicon": _single_word_lexicon(_WORD9),
-        "target": "target",
-        "recall": {
-            "cue_fraction": {"semantic": 1.0, "lexical": 1.0, "phonological": 0.0},
-            "max_attempts": 32,
-        },
-        "metamemory_corruption": [
-            {"word": "target", "component": "phonological", "flips": 1}
-        ],
-        "n_trials": n_trials,
-    }
-
-
-def partial_information(seed: int = 6, n_trials: int = 10000) -> dict:
-    """Heavy phonological damage outside a protected first-letter slot:
-    the slot keeps matching even when the whole form stays out of reach."""
-    return {
-        "seed": seed,
-        "lexicon": _single_word_lexicon(
-            _WORD15, slots={"first_letter": [0, 1, 2]}
-        ),
-        "target": "target",
-        "recall": {
-            "cue_fraction": {"semantic": 1.0, "lexical": 1.0, "phonological": 0.0},
-            "max_attempts": 8,
-        },
-        "damage": [
-            {
-                "word": "target",
-                "component": "phonological",
-                "fraction": 0.9,
-                "protected_slots": ["first_letter"],
-            }
-        ],
-        "n_trials": n_trials,
-    }
-
-
-def delayed_resolution(seed: int = 7, n_trials: int = 10000) -> dict:
-    """Moderate damage with several episodes per trial: some trials resolve
-    only on a later episode (delayed or eventual resolution)."""
-    return {
-        "seed": seed,
-        "lexicon": _single_word_lexicon(_WORD9),
-        "target": "target",
-        "recall": {
-            "cue_fraction": {"semantic": 1.0, "lexical": 1.0, "phonological": 0.2},
-            "max_attempts": 8,
-        },
-        "damage": [{"word": "target", "component": "phonological", "fraction": 0.5}],
-        "episodes_per_trial": 3,
-        "n_trials": n_trials,
-    }
-
-
-SCENARIOS = {
-    "free_recall_baseline": free_recall_baseline,
-    "cue_intensity_sweep": cue_intensity_sweep,
-    "damage_sweep": damage_sweep,
-    "priming_interloper": priming_interloper,
-    "illusory_tot": illusory_tot,
-    "partial_information": partial_information,
-    "delayed_resolution": delayed_resolution,
-}
+def load(name: str, **overrides) -> dict:
+    """The raw config of scenario `name`, with the given top-level keys replaced."""
+    if name not in names():
+        raise ConfigError("scenario", f"unknown scenario {name!r}; shipped: {', '.join(names())}")
+    return {**json.loads((CONFIGS / f"{name}.json").read_text()), **overrides}

@@ -1,14 +1,21 @@
 """Shared builders for the test suite."""
 
+import numpy as np
+
 from totsim.errors import GenerationError
 from totsim.lexicon import COMPONENTS, WordNode, WordSpec
 from totsim.network import train
-from totsim.patterns import BipolarPattern, SlotMap, hamming, random_pattern
+from totsim.patterns import BipolarPattern, SlotMap, random_pattern
 
 
 def word_spec(word_id, text):
     p = BipolarPattern.from_text(text)
     return WordSpec(id=word_id, patterns={c: p for c in COMPONENTS})
+
+
+def hamming(a, b):
+    """Number of units where two patterns differ; overlap = N - 2 * hamming."""
+    return int(np.count_nonzero(a.units != b.units))
 
 
 def explicit_word(word_id, pattern, slots=None):

@@ -235,20 +235,18 @@ class TestBundledConfigs:
             assert main(["validate", "--config", str(path)]) == 0, path.name
             capsys.readouterr()
 
-    def test_bundled_configs_match_scenario_builders(self):
+    def test_scenarios_load_the_bundled_configs(self):
         import pathlib
 
+        import pytest
+
         import totsim.scenarios as sc
+        from totsim.errors import ConfigError
 
         root = pathlib.Path(__file__).parent.parent / "configs"
-        expected = {
-            "free_recall.json": sc.free_recall_baseline(),
-            "cue_sweep.json": sc.cue_intensity_sweep(),
-            "damage_sweep.json": sc.damage_sweep(),
-            "priming_interloper.json": sc.priming_interloper(),
-            "illusory_tot.json": sc.illusory_tot(),
-            "partial_information.json": sc.partial_information(),
-            "delayed_resolution.json": sc.delayed_resolution(),
-        }
-        for name, raw in expected.items():
-            assert json.loads((root / name).read_text()) == raw, name
+        assert sc.names() == sorted(path.stem for path in root.glob("*.json"))
+        for name in sc.names():
+            assert sc.load(name) == json.loads((root / f"{name}.json").read_text()), name
+        assert sc.load("free_recall", n_trials=5) == {**sc.load("free_recall"), "n_trials": 5}
+        with pytest.raises(ConfigError, match="shipped: cue_sweep"):
+            sc.load("no_such_scenario")

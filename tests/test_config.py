@@ -8,7 +8,6 @@ import pytest
 from totsim.config import load_raw_config, normalized_dict, parse_config
 from totsim.errors import ConfigError
 from totsim.lexicon import COMPONENTS
-from totsim.scenarios import SCENARIOS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -462,7 +461,6 @@ RICH_GENERATED = {
 
 ROUND_TRIP = {
     **{path.name: json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))},
-    **{f"scenarios.{name}": builder() for name, builder in SCENARIOS.items()},
     "rich_generated": RICH_GENERATED,
 }
 

@@ -15,10 +15,16 @@ from totsim.lexicon import (
     build_lexicon,
     corrupt_metamemory,
 )
-from totsim.patterns import BipolarPattern, hamming
+from totsim.patterns import BipolarPattern
 from totsim.recall import RecallParams
 
-from helpers import explicit_word, reference_generated_patterns, reference_select, word_spec
+from helpers import (
+    explicit_word,
+    hamming,
+    reference_generated_patterns,
+    reference_select,
+    word_spec,
+)
 
 
 def explicit_lexicon(*specs, threshold=0.3, slots=None):

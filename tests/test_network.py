@@ -43,9 +43,9 @@ class TestTrain:
     def test_single_pattern_weights(self):
         p = BipolarPattern([1, -1, -1, 1])
         net = train([p])
-        expected = np.outer(p.units, p.units) / 4
-        assert np.array_equal(net.weights, expected)
-        assert set(np.unique(net.weights)) == {0.25, -0.25}
+        expected = np.outer(p.units, p.units)
+        assert np.array_equal(net.w_int, expected)
+        assert set(np.unique(net.w_int)) == {1, -1}
         assert net.damage_fraction == 0.0 and not net.mask
 
     def test_two_orthogonal_patterns_sum(self):
@@ -53,8 +53,8 @@ class TestTrain:
         b = BipolarPattern([1, -1, 1, -1])
         assert overlap(a, b) == 0
         net = train([a, b])
-        expected = (np.outer(a.units, a.units) + np.outer(b.units, b.units)) / 4
-        assert np.array_equal(net.weights, expected)
+        expected = np.outer(a.units, a.units) + np.outer(b.units, b.units)
+        assert np.array_equal(net.w_int, expected)
 
     def test_orthogonal_patterns_are_retrieved_exactly(self):
         pats = hadamard_patterns(16)[:4]
@@ -241,11 +241,3 @@ class TestApplyMask:
         net = train([p]).apply_mask(0.3, default_rng(23))
         again = net.apply_mask(0.3, default_rng(24))
         assert net.mask <= again.mask
-
-
-class TestDump:
-    def test_dump_shape(self):
-        net = train([BipolarPattern([1, -1])])
-        lines = net.dump_weights().splitlines()
-        assert len(lines) == 2
-        assert lines[0].split() == ["0.5", "-0.5"]

@@ -8,11 +8,12 @@ from totsim.patterns import (
     BipolarPattern,
     SlotMap,
     flip_by_rate,
-    hamming,
     overlap,
     random_pattern,
     slot_match,
 )
+
+from helpers import hamming
 
 units = st.sampled_from((1, -1))
 patterns = st.lists(units, min_size=1, max_size=32).map(BipolarPattern)

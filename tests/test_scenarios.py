@@ -21,25 +21,25 @@ def run(raw):
 
 class TestScenarioLibrary:
     def test_every_scenario_parses(self):
-        for name, builder in sc.SCENARIOS.items():
-            cfg, _ = parse_config(builder())
+        for name in sc.names():
+            cfg, _ = parse_config(sc.load(name))
             assert cfg.n_trials >= 1, name
 
     def test_free_recall_attempt_cost(self):
-        cfg, records = run(sc.free_recall_baseline(n_trials=800))
+        cfg, records = run(sc.load("free_recall", n_trials=800))
         rows = summarize(records)
         assert rows[0].resolved_rate == 1.0
         # three components, about two one-pass attempts each
         assert 5.0 < rows[0].mean_attempts < 7.5
 
     def test_cue_intensity_speeds_up_retrieval(self):
-        cfg, records = run(sc.cue_intensity_sweep(n_trials=300))
+        cfg, records = run(sc.load("cue_sweep", n_trials=300))
         rows = sorted(summarize(records), key=lambda r: r.sweep_q)
         assert rows[0].mean_attempts > rows[-1].mean_attempts + 1.0
         assert all(r.resolved_rate > 0.99 for r in rows)
 
     def test_damage_raises_tot_rate(self):
-        cfg, records = run(sc.damage_sweep(n_trials=400))
+        cfg, records = run(sc.load("damage_sweep", n_trials=400))
         rows = sorted(summarize(records), key=lambda r: r.sweep_d)
         tot_rates = [r.tot_rate for r in rows]
         assert tot_rates[0] < 0.05
@@ -47,7 +47,11 @@ class TestScenarioLibrary:
         assert all(b >= a - 0.05 for a, b in zip(tot_rates, tot_rates[1:]))
 
     def test_priming_flips_selection_while_it_lasts(self):
-        raw = sc.priming_interloper(n_trials=100)
+        raw = sc.load(
+            "priming_interloper",
+            n_trials=100,
+            priming=[{"word": "neighbor", "bonus": 0.7, "decay_trials": 50}],
+        )
         cfg, _ = parse_config(raw)
         lex = build_scenario_lexicon(cfg)
         truth = lex.node_by_id("target").truth["semantic"]
@@ -66,18 +70,18 @@ class TestScenarioLibrary:
         assert late.count("target") / len(late) > 0.7
 
     def test_illusory_reference_never_resolves(self):
-        cfg, records = run(sc.illusory_tot(n_trials=300))
+        cfg, records = run(sc.load("illusory_tot", n_trials=300))
         assert all(r.classification == "TOT" for r in records)
         assert {r.tot_strength for r in records} == {7 / 9}
 
     def test_partial_information_outlives_resolution(self):
-        cfg, records = run(sc.partial_information(n_trials=2000))
+        cfg, records = run(sc.load("partial_information", n_trials=2000))
         rows = summarize(records)
         row = rows[0]
         assert 0.0 < row.resolved_rate < 1.0
         assert row.slot_rates["first_letter"] > row.resolved_rate
 
     def test_delayed_resolution_happens(self):
-        cfg, records = run(sc.delayed_resolution(n_trials=1500))
+        cfg, records = run(sc.load("delayed_resolution", n_trials=1500))
         later = [r for r in records if r.episode > 1 and r.classification == "Resolved"]
         assert later

@@ -104,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--format", choices=("csv", "json"), default="csv")
     sim.set_defaults(func=_cmd_simulate)
 
-    orc = sub.add_parser("oracle", help="exact per-attempt success probability by enumeration")
+    orc = sub.add_parser("oracle", help="exact per-attempt success probability")
     orc.add_argument("--config", required=True)
     orc.add_argument("--word", required=True)
     orc.add_argument("--component", required=True)

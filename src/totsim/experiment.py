@@ -1,6 +1,5 @@
 """Scenario execution: sweep grids, keyed per-trial random streams, the
-Monte Carlo trial runner, the exact enumeration oracle, and summary
-statistics."""
+Monte Carlo trial runner, the exact oracle, and summary statistics."""
 
 from __future__ import annotations
 
@@ -32,8 +31,11 @@ SEED_TAG_TRIAL = 3
 # masked-unit, cue and damage counts are exact floors.
 STREAM_VERSION = 2
 
-_ENUMERATION_CHUNK = 1 << 16
 _MAX_FREE_INDICES = 24
+# Most probe pairs the split-sum oracle tests at once: bounds its memory at
+# any number of enumerated units, and keeps its two block buffers (256 KiB
+# each) in cache and off the page-fault path of fresh allocations.
+_SPLIT_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -367,49 +369,100 @@ def run_trials(cfg: ScenarioConfig, workers: int = 1) -> list[TrialRecord]:
 def exact_success_prob(
     net: ComponentNetwork, reference: BipolarPattern, cue_indices
 ) -> Fraction:
-    """Exact per-attempt success probability by exhaustive enumeration.
+    """Exact per-attempt success probability: the share of all assignments
+    of the non-cue units (cue units clamped to the reference) whose one-pass
+    output equals the reference.
 
-    Enumerates every assignment of the non-cue probe units (cue units are
-    clamped to the reference) and counts assignments whose one-pass output
-    equals the reference exactly. The forward pass is recomputed here, in
-    vectorized integer arithmetic, independently of the attempt-loop code
-    it validates.
+    Masked units count 0 on input and output +1, so a reference that is -1
+    on a masked unit never succeeds. A network holding one undamaged
+    pattern p (`w_int` is outer(p, p)) takes the closed form at any size.
+    Any other network is counted with split sums, recomputing the forward
+    pass independently of the attempt engine it validates; more than
+    `_MAX_FREE_INDICES` free unmasked units raise CapacityError.
     """
     n = net.n
     if len(reference) != n:
         raise DimensionError(f"reference length {len(reference)} != network size {n}")
-    cue = sorted(int(i) for i in set(cue_indices))
-    if cue and (cue[0] < 0 or cue[-1] >= n):
+    cue = {int(i) for i in cue_indices}
+    if cue and (min(cue) < 0 or max(cue) >= n):
         raise DimensionError("cue index out of range")
-    free = [i for i in range(n) if i not in set(cue)]
-    n_free = len(free)
-    if n_free > _MAX_FREE_INDICES:
-        raise CapacityError(
-            f"{n_free} free indices exceeds the enumeration cap of {_MAX_FREE_INDICES}"
-        )
-    base = np.zeros(n, dtype=np.int64)
-    if cue:
-        base[cue] = reference.units[cue]
-    mask = np.array(sorted(net.mask), dtype=np.int64)
     ref = reference.units
-    free_arr = np.array(free, dtype=np.int64)
-    total = 1 << n_free
-    successes = 0
-    for lo in range(0, total, _ENUMERATION_CHUNK):
-        hi = min(lo + _ENUMERATION_CHUNK, total)
-        codes = np.arange(lo, hi, dtype=np.int64)
-        probes = np.tile(base, (hi - lo, 1))
-        if n_free:
-            bits = (codes[:, None] >> np.arange(n_free, dtype=np.int64)) & 1
-            probes[:, free_arr] = 2 * bits - 1
-        if mask.size:
-            probes[:, mask] = 0
-        activation = probes @ net.w_int.T
-        outputs = np.where(activation >= 0, 1, -1)
-        if mask.size:
-            outputs[:, mask] = 1
-        successes += int(np.sum(np.all(outputs == ref, axis=1)))
-    return Fraction(successes, total)
+    if any(ref[i] < 0 for i in net.mask):
+        return Fraction(0)
+    live = [i for i in range(n) if i not in net.mask]
+    live_cue = [i for i in live if i in cue]
+    free = [i for i in live if i not in cue]
+    if len(net.stored) == 1:
+        p = net.stored[0].units
+        if np.array_equal(net.w_int, np.outer(p, p)):
+            k = int(p[live_cue] @ ref[live_cue])
+            return _one_pattern_success(p[live], ref[live], k, len(free))
+    if len(free) > _MAX_FREE_INDICES:
+        raise CapacityError(
+            f"{len(free)} enumerated units exceeds the enumeration cap of {_MAX_FREE_INDICES}"
+        )
+    return Fraction(_split_sum_count(net.w_int, ref, live, live_cue, free), 1 << len(free))
+
+
+def _one_pattern_success(p: np.ndarray, ref: np.ndarray, k: int, m: int) -> Fraction:
+    """P(one pass outputs `ref`) for stored pattern `p`, both over the
+    unmasked units. The pass outputs p when s = p . probe > 0, -p when
+    s < 0 and all +1 on a tie; s = k + 2B - m, with k the agreement of p
+    with the cue, m the free unmasked units and B ~ Bin(m, 1/2)."""
+    positive, negative, tie = (
+        np.array_equal(ref, p), np.array_equal(ref, -p), bool(np.all(ref == 1))
+    )
+    hits = 0
+    for b in range(m + 1):
+        s = k + 2 * b - m
+        if (positive if s > 0 else negative if s < 0 else tie):
+            hits += math.comb(m, b)
+    return Fraction(hits, 1 << m)
+
+
+def _split_sum_count(w: np.ndarray, ref: np.ndarray, live, cue, free) -> int:
+    """How many of the 2^len(free) assignments of the `free` units make
+    every `live` output equal `ref`.
+
+    Activation is linear in the probe, so each half of the free units gets
+    one table of its activations over the live outputs, and each pair of
+    rows, one from each table, is one probe. Multiplying unit i's
+    activation by ref_i makes its success test one threshold: >= 0 where
+    ref_i = +1 (sgn(0) = +1), >= 1 where -1. The left table, `need`, holds
+    that threshold less the cue's fixed contribution and the left half's
+    activation: what the right half must add, so a pair succeeds when
+    right >= need on every unit. Pairs are tested in blocks of left
+    rows, `_SPLIT_BLOCK` at a time, one unit after another, into two
+    buffers allocated once per call. No table entry exceeds a row's
+    absolute weight sum plus one in magnitude, so the tables take the
+    smallest integer type holding that.
+    """
+    sign = ref[live]
+    w_live = w[live] * sign[:, None]
+    h = len(free) // 2
+
+    def table(units):
+        bits = (np.arange(1 << len(units))[:, None] >> np.arange(len(units))) & 1
+        return (2 * bits - 1) @ w_live[:, units].T
+
+    bound = int(np.abs(w_live).sum(axis=1).max(initial=0)) + 1
+    dtype = np.min_scalar_type(-bound - 1)
+    need = (sign < 0) - table(free[:h]) - w_live[:, cue] @ ref[cue]
+    need = np.ascontiguousarray(need.T, dtype=dtype)
+    right = np.ascontiguousarray(table(free[h:]).T, dtype=dtype)
+    rows = min(need.shape[1], max(1, _SPLIT_BLOCK // right.shape[1]))
+    ok = np.empty((rows, right.shape[1]), dtype=bool)
+    passes = np.empty_like(ok)
+    count = 0
+    for lo in range(0, need.shape[1], rows):
+        block = need[:, lo:lo + rows]
+        block_ok, block_passes = ok[:block.shape[1]], passes[:block.shape[1]]
+        block_ok.fill(True)
+        for need_unit, right_unit in zip(block, right):
+            np.greater_equal(right_unit, need_unit[:, None], out=block_passes)
+            block_ok &= block_passes
+        count += int(np.count_nonzero(block_ok))
+    return count
 
 
 def mean_success_prob_under_damage(
@@ -432,14 +485,22 @@ def mean_success_prob_under_damage(
     return total / draws
 
 
+_Z95 = 1.96
+
+
 def _rate_interval(count: int, n: int) -> tuple[float, float, float]:
+    """The rate `count / n` and its 95% Wilson score interval, which keeps a
+    nonzero width at rates 0 and 1. The bounds are clamped to [0, 1] and
+    to the rate, which float rounding could otherwise leave just outside."""
     rate = count / n
-    half = 1.96 * math.sqrt(rate * (1.0 - rate) / n)
-    return rate, max(0.0, rate - half), min(1.0, rate + half)
+    z2n = _Z95 * _Z95 / n
+    center = (rate + z2n / 2) / (1 + z2n)
+    half = _Z95 / (1 + z2n) * math.sqrt(rate * (1 - rate) / n + z2n / (4 * n))
+    return rate, max(0.0, min(rate, center - half)), min(1.0, max(rate, center + half))
 
 
 def summarize(records: list[TrialRecord], strength_threshold: float = 0.7) -> list[SummaryRow]:
-    """Per-sweep-point statistics with 95% normal-approximation intervals.
+    """Per-sweep-point statistics with 95% Wilson score intervals.
 
     `strong_tot_share` is the share of TOT records at or above the strength
     threshold; `eventual_resolution_rate` is the fraction of trials whose

@@ -3,6 +3,7 @@ deterministic lexicon construction."""
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -66,7 +67,8 @@ class Lexicon:
 
     Selection reads the semantic truths as one read-only `(words, N)` int64
     matrix whose rows are in id order, so a tie on the score goes to the
-    first row; `_row` maps each id to its row.
+    first row; `_row` maps each id to its row. The threshold is read once
+    as an exact rational (see `exact_fraction`).
     """
 
     nodes: tuple[WordNode, ...]
@@ -87,9 +89,15 @@ class Lexicon:
         by_id = tuple(sorted(self.nodes, key=lambda node: node.id))
         semantic = np.array([node.truth["semantic"].units for node in by_id], dtype=np.int64)
         semantic.flags.writeable = False
+        threshold = exact_fraction(self.selection_threshold)
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_row", {node.id: i for i, node in enumerate(by_id)})
         object.__setattr__(self, "_semantic", semantic)
+        object.__setattr__(self, "_threshold", threshold)
+        # An unprimed node clears the threshold t iff overlap / N >= t,
+        # that is iff its integer overlap is at least ceil(t * N).
+        n = semantic.shape[1] if by_id else 0
+        object.__setattr__(self, "_min_overlap", math.ceil(threshold * n))
 
     def node_by_id(self, word_id: str) -> WordNode:
         row = self._row.get(word_id)
@@ -111,13 +119,14 @@ class Lexicon:
         `bonuses` (absent ids get none), capped at 1. The highest score wins
         (ties to the lexicographically smallest id) and doubles as the
         selection completeness; below the threshold nothing is selected and
-        None is returned.
+        None is returned. Scores are ranked and held against the threshold
+        in exact arithmetic (see `exact_score`).
 
         One matmul gives every overlap. Without a bonus a node's score is
         max(0, overlap) / N, so the best unprimed node is the first row of
-        maximal overlap; when no overlap is positive its score 0 is below
-        every threshold, so which row holds it does not matter. Only primed
-        nodes are scored one by one.
+        maximal overlap, and it clears the threshold iff that overlap
+        reaches the precomputed integer `_min_overlap`. Only primed nodes
+        are scored one by one.
         """
         if not self.nodes:
             raise ConfigError("lexicon", "lexicon has no word nodes")
@@ -127,34 +136,48 @@ class Lexicon:
                 f"semantic input length {len(semantic_input)} != lexicon length {n}"
             )
         overlaps = (self._semantic @ semantic_input.units).tolist()
-        primed = {}
-        for word_id, bonus in bonuses.items():
-            row = self._row.get(word_id)
-            if row is not None:
-                primed[row] = min(1.0, max(0.0, overlaps[row] / n) + bonus)
-                overlaps[row] = -n  # out of the unprimed ranking
-        top = max(overlaps)
-        best_row, best_score = overlaps.index(top), max(0, top) / n
-        for row, score in primed.items():
+        primed = {
+            self._row[word_id]: bonus for word_id, bonus in bonuses.items() if word_id in self._row
+        }
+        if not primed:
+            top = max(overlaps)
+            if top < self._min_overlap:
+                return None
+            return self._by_id[overlaps.index(top)], top / n
+        # Primed rows leave the unprimed ranking.
+        unprimed = [-n if row in primed else ov for row, ov in enumerate(overlaps)]
+        top = max(unprimed)
+        best_row, best_score = unprimed.index(top), Fraction(max(0, top), n)
+        for row, bonus in primed.items():
+            score = exact_score(overlaps[row], n, bonus)
             if score > best_score or (score == best_score and row < best_row):
                 best_row, best_score = row, score
-        if best_score < self.selection_threshold:
+        if best_score < self._threshold:
             return None
-        return self._by_id[best_row], best_score
+        if best_row in primed:
+            # The choice above is exact; a primed winner's completeness is
+            # reported as the float sum, whose bytes the records pin.
+            return self._by_id[best_row], min(
+                1.0, max(0.0, overlaps[best_row] / n) + primed[best_row]
+            )
+        return self._by_id[best_row], top / n
+
+
+def exact_score(ov: int, n: int, bonus: float) -> Fraction:
+    """A node's selection score in exact arithmetic: max(0, ov / n) for
+    overlap `ov` over `n` units, plus its priming bonus (see
+    `exact_fraction`), capped at 1."""
+    return min(Fraction(1), Fraction(max(0, ov), n) + exact_fraction(bonus))
 
 
 def exact_completeness(semantic_input: BipolarPattern, node: WordNode, bonus: float) -> Fraction:
-    """A selected node's score in exact arithmetic: max(0, overlap / N)
-    plus its priming bonus (see `exact_fraction`), capped at 1.
+    """A selected node's score, exactly (see `exact_score`).
 
-    `select_node` ranks every node in floats; only the winner's score is
-    recomputed exactly, because masked-unit counts are floors of 1 - c and
-    a float c such as 1 - 0.8 = 0.19999999999999996 would undercount them.
+    Masked-unit counts are floors of 1 - c, and a float c such as
+    1 - 0.8 = 0.19999999999999996 would undercount them.
     """
-    score = Fraction(
-        max(0, overlap(semantic_input, node.truth["semantic"])), len(semantic_input)
-    )
-    return min(Fraction(1), score + exact_fraction(bonus))
+    ov = overlap(semantic_input, node.truth["semantic"])
+    return exact_score(ov, len(semantic_input), bonus)
 
 
 @dataclass(frozen=True)
@@ -251,11 +274,6 @@ def word_nodes(spec: LexiconSpec, rng: np.random.Generator) -> tuple[WordNode, .
             )
         )
     return tuple(nodes)
-
-
-def build_lexicon(spec: LexiconSpec, rng: np.random.Generator) -> Lexicon:
-    """The lexicon of `word_nodes(spec, rng)`."""
-    return Lexicon(word_nodes(spec, rng), spec.selection_threshold)
 
 
 def corrupt_metamemory(

@@ -40,12 +40,13 @@ def parse_flag(text: str) -> bool:
 
 # The records CSV, column by column: (name, parse type, format). A
 # `slot_<name>` column reads that slot of `partial_info`; every other column
-# is the `TrialRecord` field of its name. The CSV leaves out `flip_rate` and
-# every slot but `first_letter`; the JSON records carry them.
+# is the `TrialRecord` field of its name. The CSV leaves out every slot but
+# `first_letter`; the JSON records carry them.
 RECORD_COLUMNS = (
     ("trial", int, str),
     ("sweep_q", float, fmt_float),
     ("sweep_d", float, fmt_float),
+    ("flip_rate", float, fmt_float),
     ("episode", int, str),
     ("classification", str, str),
     ("sel_completeness", float, fmt_float),

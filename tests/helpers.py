@@ -1,11 +1,14 @@
 """Shared builders for the test suite."""
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 
 from totsim.errors import GenerationError
 from totsim.lexicon import COMPONENTS, WordNode, WordSpec
 from totsim.network import train
-from totsim.patterns import BipolarPattern, SlotMap, random_pattern
+from totsim.patterns import BipolarPattern, SlotMap, exact_fraction, random_pattern
 
 
 def word_spec(word_id, text):
@@ -32,22 +35,36 @@ def explicit_word(word_id, pattern, slots=None):
 def reference_select(lex, semantic_input, bonuses):
     """Stage-one selection as a plain per-node loop, the rule that
     `Lexicon.select_node` vectorizes: each node scores
-    min(1, max(0, overlap / N) + bonus); the highest score wins, ties go to
-    the lexicographically smallest id, and a best score below the threshold
-    selects nothing."""
+    min(1, max(0, overlap / N) + bonus) in exact arithmetic, the bonus read
+    by `exact_fraction`; the highest score wins, ties go to the
+    lexicographically smallest id, and a best score below the threshold
+    (also read by `exact_fraction`) selects nothing. The winner is reported
+    with its score as the float sum min(1, max(0, overlap / N) + bonus)."""
     n = len(semantic_input)
     x = semantic_input.units.tolist()
-    best_node, best_score = None, -1.0
+    best = None
     for node in lex.nodes:
         ov = sum(a * b for a, b in zip(x, node.truth["semantic"].units.tolist()))
-        score = min(1.0, max(0.0, ov / n) + bonuses.get(node.id, 0.0))
-        if best_node is None or score > best_score or (
-            score == best_score and node.id < best_node.id
-        ):
-            best_node, best_score = node, score
-    if best_score < lex.selection_threshold:
+        bonus = bonuses.get(node.id, 0.0)
+        score = min(Fraction(1), Fraction(max(0, ov), n) + exact_fraction(bonus))
+        if best is None or score > best[1] or (score == best[1] and node.id < best[0].id):
+            best = node, score, min(1.0, max(0.0, ov / n) + bonus)
+    if best[1] < exact_fraction(lex.selection_threshold):
         return None
-    return best_node, best_score
+    return best[0], best[2]
+
+
+def reference_success_prob(net, reference, cue):
+    """Exact per-attempt success probability by brute force, the law that
+    `experiment.exact_success_prob` computes: drive `retrieve_once` over
+    every assignment of the non-cue units (cue units clamped to the
+    reference) and count the outputs equal to the reference."""
+    cue = set(cue)
+    free = [i for i in range(net.n) if i not in cue]
+    probes = np.tile(reference.units, (2 ** len(free), 1))
+    probes[:, free] = list(itertools.product((1, -1), repeat=len(free)))
+    hits = np.all(net.retrieve_once(probes) == reference.units, axis=1).sum()
+    return Fraction(int(hits), 2 ** len(free))
 
 
 def reference_generated_patterns(gen, component, rng, budget=1000):

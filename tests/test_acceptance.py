@@ -22,7 +22,7 @@ from totsim.experiment import (
     validate_record_rows,
 )
 from totsim.network import train
-from totsim.output import read_record_rows, record_row, write_records_csv
+from totsim.output import RECORDS_HEADER, read_record_rows, record_row, write_records_csv
 from totsim.patterns import BipolarPattern, random_pattern
 from totsim.recall import Classification, RecallParams, chronometry, recall_component, recall_word
 from totsim.lexicon import Lexicon, corrupt_metamemory
@@ -134,7 +134,8 @@ def test_criterion_08_chronometry():
         total_time_ms=chronometry(3, 1.0, 10.0),
         seed_child="0-0-0",
     )
-    ok &= record_row(record).split(",")[11] == "23.000"
+    row = dict(zip(RECORDS_HEADER.split(","), record_row(record).split(",")))
+    ok &= row["total_time_ms"] == "23.000"
     for k in range(1, 10):
         ok &= (
             chronometry(k + 1, 1.0, 10.0) - chronometry(k, 1.0, 10.0) == 11.0

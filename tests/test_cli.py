@@ -178,6 +178,26 @@ class TestOracle:
         assert code == 2
 
     def test_capacity_exceeded_exits_2(self, tmp_path, capsys):
+        # Only a damaged network is enumerated; its 31 free units exceed the cap.
+        raw = {
+            "seed": 5,
+            "lexicon": {
+                "generator": {
+                    "count": 1,
+                    "lengths": {"semantic": 31, "lexical": 9, "phonological": 9},
+                }
+            },
+            "target": "w0",
+            "damage": [{"word": "w0", "component": "semantic", "fraction": 0.1}],
+        }
+        cfg = write_config(tmp_path, raw)
+        code = main(
+            ["oracle", "--config", cfg, "--word", "w0", "--component", "semantic", "--cue-size", "0"]
+        )
+        assert code == 2
+        assert "enumeration cap" in capsys.readouterr().err
+
+    def test_undamaged_network_beyond_the_cap_is_answered(self, tmp_path, capsys):
         raw = {
             "seed": 5,
             "lexicon": {
@@ -192,8 +212,8 @@ class TestOracle:
         code = main(
             ["oracle", "--config", cfg, "--word", "w0", "--component", "semantic", "--cue-size", "0"]
         )
-        assert code == 2
-        assert "enumeration cap" in capsys.readouterr().err
+        assert code == 0
+        assert capsys.readouterr().out == "1/2 = 0.5\n"
 
     def test_cue_size_bounds(self, tmp_path, capsys):
         cfg = write_config(tmp_path, minimal_raw())

@@ -1,10 +1,12 @@
-import itertools
+import math
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.random import SeedSequence, default_rng
 
 from totsim import experiment
@@ -26,6 +28,8 @@ from totsim.network import train
 from totsim.output import record_row, read_record_rows, write_records_csv
 from totsim.patterns import BipolarPattern, random_pattern
 from totsim.recall import recall_component
+
+from helpers import reference_success_prob
 
 P9 = BipolarPattern.from_text("++-+--++-")
 
@@ -203,6 +207,37 @@ class TestProcessPool:
         assert run_trials(cfg, workers=2) == run_trials(cfg, workers=1)
 
 
+@st.composite
+def oracle_cases(draw):
+    """A network of n <= 12 units holding one or two patterns, damaged at a
+    fraction that may be 0 and masked or not; a cue of any size; and a
+    reference that is the stored pattern, its negation, a corruption of it,
+    the pattern with its masked units set to +1, all +1 or random."""
+    n = draw(st.integers(1, 12))
+    pattern = st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n).map(BipolarPattern)
+    stored = draw(st.lists(pattern, min_size=1, max_size=2))
+    rng = default_rng(draw(st.integers(0, 2**32 - 1)))
+    net = train(stored).damage(draw(st.sampled_from((0.0, 0.1, 0.3, 0.6, 1.0))), rng)
+    net = net.apply_mask(draw(st.sampled_from((0.0, 0.2, 0.5, 1.0))), rng)
+    p = stored[0]
+    flips = draw(st.sets(st.integers(0, n - 1), max_size=3))
+    reference = draw(
+        st.sampled_from(
+            (
+                p,
+                p.negate(),
+                p.with_flipped(flips),
+                BipolarPattern([1 if i in net.mask else u for i, u in enumerate(p.units)]),
+                BipolarPattern([1] * n),
+            )
+        )
+        | pattern
+    )
+    k = draw(st.integers(0, n))
+    cue = draw(st.permutations(range(n)))[:k]
+    return net, reference, cue
+
+
 class TestExactSuccessProb:
     def test_free_recall_is_exactly_half(self):
         net = train([P9])
@@ -217,9 +252,41 @@ class TestExactSuccessProb:
         assert exact_success_prob(net, P9, range(9)) == Fraction(1)
 
     def test_capacity_enforced(self):
-        p = random_pattern(25, default_rng(0))
+        # A damaged network is enumerated: 25 free unmasked units exceed the cap.
+        rng = default_rng(SeedSequence(35))
+        p = random_pattern(25, rng)
+        with pytest.raises(CapacityError, match="25 enumerated units"):
+            exact_success_prob(train([p]).damage(0.1, rng), p, [])
+
+    def test_undamaged_network_answers_at_any_size(self):
+        p = random_pattern(200, default_rng(SeedSequence(36)))
+        net = train([p])
+        want = Fraction(sum(math.comb(200, b) for b in range(101, 201)), 2**200)
+        assert exact_success_prob(net, p, []) == want
+        assert exact_success_prob(net.damage(0.0, default_rng(0)), p, []) == want
+
+    def test_cap_counts_only_enumerated_units(self):
+        # 28 units, 4 of them masked: 24 are enumerated.
+        rng = default_rng(SeedSequence(37))
+        p = random_pattern(28, rng)
+        damaged = train([p]).damage(0.2, rng)
+        net = damaged.apply_mask(Fraction(4, 28), rng)
+        masked_up = BipolarPattern([1 if i in net.mask else u for i, u in enumerate(p.units)])
+        assert 0 < exact_success_prob(net, masked_up, []) <= 1
         with pytest.raises(CapacityError):
-            exact_success_prob(train([p]), p, [])
+            exact_success_prob(damaged, p, range(3))
+
+    def test_enumeration_memory_is_bounded(self):
+        rng = default_rng(SeedSequence(38))
+        p = random_pattern(24, rng)
+        net = train([p]).damage(0.3, rng)
+        tracemalloc.start()
+        try:
+            exact_success_prob(net, p, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_cue_bounds_checked(self):
         net = train([P9])
@@ -227,21 +294,29 @@ class TestExactSuccessProb:
             exact_success_prob(net, P9, [9])
 
     def test_matches_engine_enumeration_with_damage_and_mask(self):
-        # Independent cross-check: count successes by driving retrieve_once
-        # over every free assignment and compare with the vectorized oracle.
         rng = default_rng(SeedSequence(33))
         p = random_pattern(7, rng)
         net = train([p]).damage(0.3, rng).apply_mask(2 / 7, rng)
         cue = (0, 4)
-        free = [i for i in range(7) if i not in cue]
-        hits = 0
-        for bits in itertools.product((1, -1), repeat=len(free)):
-            units = p.units.copy()
-            for i, b in zip(free, bits):
-                units[i] = b
-            if net.retrieve_once(BipolarPattern(units)) == p:
-                hits += 1
-        assert exact_success_prob(net, p, cue) == Fraction(hits, 2 ** len(free))
+        assert exact_success_prob(net, p, cue) == reference_success_prob(net, p, cue)
+
+    def test_heavy_weights_keep_their_sums(self):
+        # With p stored 30 times, the activations of either half of the
+        # free units pass the int8 range.
+        rng = default_rng(SeedSequence(39))
+        p, q = random_pattern(12, rng), random_pattern(12, rng)
+        net = train([p] * 30 + [q]).damage(0.2, rng)
+        assert np.abs(net.w_int).sum(axis=1).max() > 2 * 127
+        for ref in (p, q):
+            assert exact_success_prob(net, ref, (3,)) == reference_success_prob(net, ref, (3,))
+
+    @settings(max_examples=300, deadline=None)
+    @given(oracle_cases())
+    def test_matches_the_brute_force_reference(self, case):
+        net, reference, cue = case
+        assert exact_success_prob(net, reference, cue) == reference_success_prob(
+            net, reference, cue
+        )
 
     def test_monte_carlo_converges_to_oracle(self):
         net = train([P9])
@@ -264,6 +339,33 @@ class TestMeanSuccessUnderDamage:
         net = train([P9])
         heavy = mean_success_prob_under_damage(net, P9, [], 0.75, 50, seed=2)
         assert heavy < Fraction(1, 2)
+
+
+class TestRateInterval:
+    def test_certain_rate_keeps_a_width(self):
+        rate, low, high = experiment._rate_interval(10_000, 10_000)
+        assert rate == 1.0 and low < 1.0 and high == 1.0
+
+    def test_zero_rate_keeps_a_width(self):
+        rate, low, high = experiment._rate_interval(0, 10_000)
+        assert rate == 0.0 and low == 0.0 and high > 0.0
+
+    def test_wilson_value(self):
+        # 5 of 10: centre 0.5, half-width 1.96 / (1 + 0.38416) * sqrt(0.025 + 0.009604).
+        _, low, high = experiment._rate_interval(5, 10)
+        assert low == pytest.approx(0.2365895936) and high == pytest.approx(0.7634104064)
+
+    @given(st.integers(1, 10**6), st.data())
+    def test_interval_contains_the_rate_within_unit_range(self, n, data):
+        count = data.draw(st.sampled_from((0, 1, n - 1, n)) | st.integers(0, n))
+        rate, low, high = experiment._rate_interval(count, n)
+        assert rate == count / n
+        assert 0.0 <= low <= rate <= high <= 1.0
+
+    def test_summary_rows_carry_wilson_bounds(self):
+        row = summarize(run_trials(single_word_cfg(n_trials=10)))[0]
+        assert row.resolved_rate == 1.0 and row.resolved_ci_low < 1.0
+        assert row.tot_rate == 0.0 and row.tot_ci_high > 0.0
 
 
 class TestSummarize:
@@ -496,6 +598,7 @@ class TestCsvRoundTrip:
             assert row["trial"] == record.trial
             assert row["sweep_q"] == record.sweep_q
             assert row["sweep_d"] == record.sweep_d
+            assert row["flip_rate"] == record.flip_rate
             assert row["episode"] == record.episode
             assert row["classification"] == record.classification
             assert row["sel_completeness"] == record.sel_completeness
@@ -506,3 +609,14 @@ class TestCsvRoundTrip:
             assert row["slot_first_letter"] == record.partial_info.get("first_letter", False)
             assert row["total_time_ms"] == round(record.total_time_ms, 3)
             assert row["seed_child"] == record.seed_child
+
+    def test_flip_rate_points_are_told_apart(self, tmp_path):
+        cfg = single_word_cfg(n_trials=3, sweep={"flip_rate": [0.1, 0.2]})
+        path = tmp_path / "records.csv"
+        write_records_csv(run_trials(cfg), path)
+        points = {}
+        for row in read_record_rows(path):
+            points.setdefault((row["sweep_q"], row["sweep_d"], row["flip_rate"]), []).append(row)
+        assert sorted(f for _, _, f in points) == [0.1, 0.2]
+        assert len({(q, d) for q, d, _ in points}) == 1
+        assert all(len(rows) == 3 for rows in points.values())

@@ -10,8 +10,18 @@ output schema: re-pin them in the same change and say why.
 The run_meta.json digests were re-pinned when the inert word `frequency`
 field left the config schema: each run_meta.json lost its
 `lexicon.words[i].frequency` keys and the matching `defaults_applied`
-entries, and nothing else changed. The records and summary digests are
-those of stream version 2 as first pinned.
+entries, and nothing else changed. The records.json digests are those of
+stream version 2 as first pinned.
+
+The records.csv, summary.csv and summary.json digests were re-pinned once,
+for two schema fixes and nothing else (checked row by row against the
+earlier bundles):
+- records.csv gained a `flip_rate` column after `sweep_d`, so flip-rate
+  sweep points are told apart by a coordinate, not only by `seed_child`;
+  every other cell is unchanged.
+- The summary intervals became 95% Wilson score intervals instead of the
+  normal approximation, whose width collapsed to 0 at rates 0 and 1; only
+  the `*_ci_low` and `*_ci_high` values changed.
 
 No shipped config generates its lexicon, so `GENERATED` pins one more
 bundle: 300 generated words with damage, metamemory corruption, priming and
@@ -33,39 +43,39 @@ N_TRIALS = 12
 
 GOLDEN = {
     "cue_sweep.json": {
-        "records.csv": "fc08b9a24363f2d56f7a82e07ace6d93eed5d99263e1fbda1e429c0fa2465368",
+        "records.csv": "ca37057a6cf4750d86ca5a3c90a3f9d95419066a89c261c541ea1bcd3ac9c1fc",
         "run_meta.json": "e678f345b7c1ca4f6d5c0a9f52667cfec063a427b04002d3e0fbadd591e0c500",
-        "summary.csv": "c2959bd22d40cbfbbf746e75a0b31f89a11d307413d8355135c9b1ea679dc0dd",
+        "summary.csv": "2a98fa5b4ccad6db0506fc04cd0ea8871635d84600b8c73cd7a793ce353d23fe",
     },
     "damage_sweep.json": {
-        "records.csv": "f2e746f88f5b3db99c8ac28094e46a996b878d6c0070d91065967abc758b30aa",
+        "records.csv": "4d65584700ecdd7690345ebc23ebea07607d7853da5ec67e4229c77583e29e2b",
         "run_meta.json": "c9f9446e7c2111691c2533fc33b67074cc57cf260f43f3111a25a4c2eb3fe8ea",
-        "summary.csv": "63a9f54581c94b106b5c207c19c49bc972ad1444b311ea9a6ba9d4822b0c8a3e",
+        "summary.csv": "c910f4fd3b05782eb4fc45691b6d534c386972ca2e020464ca702017391e9552",
     },
     "delayed_resolution.json": {
-        "records.csv": "4046b6e30aec6003b6d09182129f706077e151dd19f9d201eeb7e94990cf94ca",
+        "records.csv": "7afcb13b128f35d2a8badfcb92e81895f5b5ef34d9a401f120c6d22ee42aae04",
         "run_meta.json": "314008f2a6e2de04f64c0c53a8842289d2f1563e76950d44dd979617a98b447a",
-        "summary.csv": "17eb7cd4f2311b1785650df450b21c5b706f877b901f4636274795e97677884a",
+        "summary.csv": "9418ec0fad7c4b6f20536083c6cd4da0f4bae63fa8d2dfe8ebb3e8f3db15a4a9",
     },
     "free_recall.json": {
-        "records.csv": "54faaf8ca2d82158b72e3677d34a6a6384add2477b74b607279b7f2e63d8d525",
+        "records.csv": "90c6b93faec7c4d8cc5afac485a54167b0c7d454f7c0a08d40c6bcc4d9efb3b1",
         "run_meta.json": "2c1f28e4f0615828711d63d926c4dd40a45a1af8b674b1afc1c207b73f21f9b6",
-        "summary.csv": "34938e7f0a96f39e9239bbbb81f9d0d2b7b3840833810c31b3d600af6a62d978",
+        "summary.csv": "db3771ad9a58e6ef1b8cd00a6e314d84a8399367d2a22fb6cd8a1a26dd749588",
     },
     "illusory_tot.json": {
-        "records.csv": "4599e1b26b1b45d2b4b8da9b7f7d37c8b0e1e08a0da32a526ef619c87bad817a",
+        "records.csv": "9a54365c4160cce68c12833fc86170126d2f7b3b2d39cea60f89bc4d22bb745f",
         "run_meta.json": "a6ae067cdbd415e20dd67ca2391c0b7517bf61621c7659d926116f0485ac153f",
-        "summary.csv": "b6281edda21b445cfeed809165aaa1753c884767022db06ea06eab76dd6c150b",
+        "summary.csv": "1a0961d20fbc3bb4d3a5404d70e898f77c4bffb6ac0ae860377b5fe134570359",
     },
     "partial_information.json": {
-        "records.csv": "176fc05918b53230cc2384dd1d5bf422ce4d40a926bdfbebbdb6398fbe83ab82",
+        "records.csv": "4de3c5d34165afc1327f4eb46918799ec2ae3bccf02d0ab171a611286e4f49fd",
         "run_meta.json": "86ba0f88bdb4e0639b250cb156441fea50f62c585fffb1423f2190311a2b8cb6",
-        "summary.csv": "21c4e6079af3a376a5b1d171671828274ff5e397371d4b6e67c92a73eba637a1",
+        "summary.csv": "61b7f7367cddcdaca1d1673110faa639e2b98790205e1a1460072158fabcd129",
     },
     "priming_interloper.json": {
-        "records.csv": "73c703c7259cc93b3cdaf3fcd3126f4ae13cc32b19f196c64af9379ae8308f19",
+        "records.csv": "1e97cd2db50b141bc4f2d9f9340898a7d4887c566787968f1d984ec9425b1f02",
         "run_meta.json": "4889c85e0f2ace6f76ef1c91636fced706830127a67f4f8e718c845581d6888f",
-        "summary.csv": "25a86c975c01df8fcd1827b8b11722d74f09e802c3a13e890e33f1cc8baa2eca",
+        "summary.csv": "6980abc6be55912b803471921ee751f517e66ecfdf41539be8893cbb77be88f1",
     },
 }
 
@@ -75,37 +85,37 @@ GOLDEN_JSON = {
     "cue_sweep.json": {
         "records.json": "21055a840611a3fdc8f8363a06425d4cb2b62d9c3ce21335ee21c89705782e70",
         "run_meta.json": "95b0be766364436e964fa923e2b1e8095fda272e1b85a8dfe85b761aa2a63256",
-        "summary.json": "11c3bfaa60428ca45bee48250d5304d655e23151941292be68d6ac468b62d41b",
+        "summary.json": "bfa85a39f426ad382b9131cdc3a6031a5ab997ff18fe2948df8b250d2b69126a",
     },
     "damage_sweep.json": {
         "records.json": "4874ac10f36729cd5f82bff8d1b3522b6c9b1f399aad64085ba0d5407d6a0051",
         "run_meta.json": "0c31483bd103c2caf14b6e1dc99c87cf68bac7b96c88d0e69004f00a52b543f3",
-        "summary.json": "b63888fe51db299340b79b68c62a9a19e2593dca89e608bba760cceb91c22335",
+        "summary.json": "1e23702ff0d3cc3c7fe79a88027287fc094b6ed8f01489a5b696b6a8ec9c5898",
     },
     "delayed_resolution.json": {
         "records.json": "a6d0c94bb5546555c1f0f87229eae7c95dd6beebdffdc4482ee016f299b944e0",
         "run_meta.json": "8bb2ba2479cd3ce523f02e9f5e1c7c453acf6ef13a1f3d26351f465a394ec3ae",
-        "summary.json": "bcdbecfce1dd06262ec12c187637f3e2ec1d6abe99ae379d00624dcfbb01edb7",
+        "summary.json": "9f942125ceed4cd17d29949e190d90bce12ddebab3120d05164d8da674a21219",
     },
     "free_recall.json": {
         "records.json": "5ca3bce77bccdbdb59715863e4a79ce46cbaef9b845adfaf498ad0e678cd2c0d",
         "run_meta.json": "8c93926e636221d07aaec5b190a0b43bab98793dbe04bf0e6dec84814a77c34c",
-        "summary.json": "cf8423d953a37ebfd772fc64d3707239b1e4e12c70899e901e1201d196b52dbf",
+        "summary.json": "7df2a4c984abc5fbb0046cf5ba355f2ae29ccf9af21eaf449adff8e2c961309b",
     },
     "illusory_tot.json": {
         "records.json": "aeae89f69fdd7e3e87f4799897bba1c948eff34fa13084ef528e048198b497c1",
         "run_meta.json": "7c14a085d4cb18f260a894c0514c50eb9a726b6b579438c8902937e89e3d098e",
-        "summary.json": "b33553c6e916f62dca7d30cf5bd27cacd6a66c87b8877ccdf22ce31384c4da6f",
+        "summary.json": "9d23db0a9a34ba0b5b4eddeb04e37a7d4bc889e4c76e3780d2ce0dec2b6f84db",
     },
     "partial_information.json": {
         "records.json": "6cdefda5d46c28a5fad0e7f51c4019af96db4c25f1a126fee19748c1d98db219",
         "run_meta.json": "249335644a357af2564b8bcd4711f958207b4e941d79dc536448d715718f8b8e",
-        "summary.json": "57f4dd46e4372a36aada4f8e78d72694021b5c746aab10f6f1ed5be6be7ec713",
+        "summary.json": "825d7502a3500ef46c60c30c0d8525f0b559d9a8affcdc74b2ad7e1522c936bb",
     },
     "priming_interloper.json": {
         "records.json": "83d867e16c812961ac42febb85ed173e0614d8d9e4197abc47da01c6f5e339ed",
         "run_meta.json": "a7373b448a4f49296f2f9a15f8595d15520cd6020e0da6b74b6197ee01cb9a59",
-        "summary.json": "21d06290e4b240e69c311524634a17a864ad99e8e9b183860e55b913ec407fea",
+        "summary.json": "5f0f3ac259d110872b0727dac877237fa9059539c830b7860fbc493997608494",
     },
 }
 
@@ -142,14 +152,14 @@ GENERATED_CONFIG = {
 
 GENERATED = {
     "csv": {
-        "records.csv": "a23a0ae275b0854196c97bded8685bb15838093162abaecaf75c9261b96ef1a9",
+        "records.csv": "1d858582a86e824b9b2d909438bbe8c9d6624a02b169274a87204804a82fa149",
         "run_meta.json": "56a7145444556518f628dd11a6f0d2fece06615df7b16197cc3d2cf26238a4a3",
-        "summary.csv": "cbdbb274ef1b619ca493e8977c100aca8592ed8d10087e3eac667ac273996bc2",
+        "summary.csv": "a1e6d3b5bc61e9cb45105acb33d34bf823f3d13ea9f35a792000037d9e195b21",
     },
     "json": {
         "records.json": "d5b1f48447c0afa3cbbd3ffbf3bf65ed1de7845b005acdfe322117192c0cacac",
         "run_meta.json": "79230bbc8099a3ee0df6ad2a4438e59d6ee11de282a680bfd8b3913696b14243",
-        "summary.json": "fcae968188e8608dbb6f11959d14aeee468ae30c847d3e4f1e51839474e0c354",
+        "summary.json": "f48d9bc236086b95edb4eddc6288f894bd5423b6e589daf1c29cc9f3c50b8851",
     },
 }
 

@@ -12,8 +12,8 @@ from totsim.lexicon import (
     GeneratorSpec,
     Lexicon,
     LexiconSpec,
-    build_lexicon,
     corrupt_metamemory,
+    word_nodes,
 )
 from totsim.patterns import BipolarPattern
 from totsim.recall import RecallParams
@@ -27,11 +27,15 @@ from helpers import (
 )
 
 
+def lexicon_of(spec, seed):
+    return Lexicon(word_nodes(spec, default_rng(SeedSequence(seed))), spec.selection_threshold)
+
+
 def explicit_lexicon(*specs, threshold=0.3, slots=None):
     spec = LexiconSpec(
         selection_threshold=threshold, words=tuple(specs), slots=slots or {}
     )
-    return build_lexicon(spec, default_rng(SeedSequence(0)))
+    return lexicon_of(spec, 0)
 
 
 class TestBuildLexicon:
@@ -51,7 +55,7 @@ class TestBuildLexicon:
                 min_pairwise_distance=8,
             )
         )
-        lex = build_lexicon(spec, default_rng(SeedSequence(5)))
+        lex = lexicon_of(spec, 5)
         assert [n.id for n in lex.nodes] == ["w0", "w1", "w2"]
         for comp in COMPONENTS:
             pats = [n.truth[comp] for n in lex.nodes]
@@ -63,8 +67,8 @@ class TestBuildLexicon:
         spec = LexiconSpec(
             generator=GeneratorSpec(count=2, lengths={c: 9 for c in COMPONENTS})
         )
-        a = build_lexicon(spec, default_rng(SeedSequence(6)))
-        b = build_lexicon(spec, default_rng(SeedSequence(6)))
+        a = lexicon_of(spec, 6)
+        b = lexicon_of(spec, 6)
         for na, nb in zip(a.nodes, b.nodes):
             assert na.truth == nb.truth
 
@@ -90,7 +94,7 @@ class TestBuildLexicon:
             )
         )
         with pytest.raises(GenerationError):
-            build_lexicon(spec, default_rng(SeedSequence(7)))
+            lexicon_of(spec, 7)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ConfigError):
@@ -113,6 +117,36 @@ class TestSelectNode:
         lex = explicit_lexicon(word_spec("apple", "++-+--++-"))
         node, completeness = lex.select_node(BipolarPattern.from_text("++-+--++-"))
         assert node.id == "apple" and completeness == 1.0
+
+    def test_primed_score_equal_to_the_threshold_selects(self):
+        # Overlap 14 of 20 plus 0.1 is exactly 0.8, though the float sum
+        # 14 / 20 + 0.1 is 0.7999999999999999.
+        p = BipolarPattern([1] * 20)
+        lex = Lexicon((explicit_word("w", p),), selection_threshold=0.8)
+        x = p.with_flipped([0, 1, 2])
+        assert lex.select_node(x) is None
+        node, _ = lex.select_node(x, {"w": 0.1})
+        assert node.id == "w"
+
+    def test_unprimed_overlap_at_the_threshold_selects(self):
+        # ceil(0.7 * 20) = 14: overlap 14 selects, overlap 12 does not.
+        p = BipolarPattern([1] * 20)
+        lex = Lexicon((explicit_word("w", p),), selection_threshold=0.7)
+        node, completeness = lex.select_node(p.with_flipped([0, 1, 2]))
+        assert node.id == "w" and completeness == 0.7
+        assert lex.select_node(p.with_flipped([0, 1, 2, 3])) is None
+
+    def test_primed_and_unprimed_exact_tie_goes_to_the_smaller_id(self):
+        # Over all +1 input, "b" scores 16 / 20 = 0.8 unprimed and "a" scores
+        # 14 / 20 + 0.1 = 0.8 primed: a tie, so "a" wins. In floats "a"
+        # scores 0.7999999999999999 and would lose.
+        x = BipolarPattern([1] * 20)
+        lex = Lexicon(
+            (explicit_word("a", x.with_flipped([0, 1, 2])), explicit_word("b", x.with_flipped([0, 1]))),
+            selection_threshold=0.5,
+        )
+        assert lex.select_node(x)[0].id == "b"
+        assert lex.select_node(x, {"a": 0.1})[0].id == "a"
 
     def test_orthogonal_input_yields_no_selection(self):
         lex = explicit_lexicon(word_spec("apple", "++++----"))
@@ -219,14 +253,14 @@ def selections(draw):
     ids), a semantic input (sometimes the negation of a word, so no overlap
     is positive) and bonuses that may exceed the cap, name no word or, as
     the API allows but no config does, be negative."""
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 20))
     pattern = st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n).map(BipolarPattern)
     pool = draw(st.lists(pattern, min_size=1, max_size=3))
     ids = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=len(IDS), unique=True))
     nodes = tuple(explicit_word(i, draw(st.sampled_from(pool))) for i in ids)
-    lex = Lexicon(nodes, draw(st.sampled_from((0.01, 0.3, 0.5, 1.0))))
+    lex = Lexicon(nodes, draw(st.sampled_from((0.01, 0.3, 0.5, 0.7, 0.8, 1.0))))
     x = draw(st.one_of(pattern, st.sampled_from(pool).map(BipolarPattern.negate)))
-    bonus = st.one_of(st.sampled_from((0.0, 0.25, 1.0, -0.5)), st.floats(-1.0, 1.0))
+    bonus = st.one_of(st.sampled_from((0.0, 0.1, 0.2, 0.25, 1.0, -0.5)), st.floats(-1.0, 1.0))
     bonuses = draw(st.dictionaries(st.sampled_from(IDS + ("ghost",)), bonus, max_size=4))
     return lex, x, bonuses
 
@@ -274,7 +308,7 @@ class TestSelectionMatchesPerNodeLoop:
     def test_selection_makes_no_per_node_overlap_call(self, monkeypatch):
         lengths = {c: 15 for c in COMPONENTS}
         spec = LexiconSpec(generator=GeneratorSpec(300, lengths, min_pairwise_distance=3))
-        lex = build_lexicon(spec, default_rng(SeedSequence(9)))
+        lex = lexicon_of(spec, 9)
         calls = []
         real = lexicon_module.overlap
         monkeypatch.setattr(lexicon_module, "overlap", lambda *a: calls.append(1) or real(*a))

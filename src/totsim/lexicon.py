@@ -116,17 +116,17 @@ class Lexicon:
         """Stage-one word node selection from semantic input.
 
         Each node scores max(0, overlap / N) plus its priming bonus from
-        `bonuses` (absent ids get none), capped at 1. The highest score wins
-        (ties to the lexicographically smallest id) and doubles as the
-        selection completeness; below the threshold nothing is selected and
-        None is returned. Scores are ranked and held against the threshold
-        in exact arithmetic (see `exact_score`).
+        `bonuses` (absent ids get none), capped at 1, in exact arithmetic
+        (see `exact_score`). The highest score wins (ties to the
+        lexicographically smallest id) and is returned with the node as
+        its exact selection completeness, a Fraction; below the threshold
+        nothing is selected and None is returned.
 
-        One matmul gives every overlap. Without a bonus a node's score is
-        max(0, overlap) / N, so the best unprimed node is the first row of
-        maximal overlap, and it clears the threshold iff that overlap
-        reaches the precomputed integer `_min_overlap`. Only primed nodes
-        are scored one by one.
+        One block `overlap` gives every node's overlap. Without a bonus a
+        node's score is max(0, overlap) / N, so the best unprimed node is
+        the first row of maximal overlap, and it clears the threshold iff
+        that overlap reaches the precomputed integer `_min_overlap`. Only
+        primed nodes are scored one by one.
         """
         if not self.nodes:
             raise ConfigError("lexicon", "lexicon has no word nodes")
@@ -135,7 +135,7 @@ class Lexicon:
             raise DimensionError(
                 f"semantic input length {len(semantic_input)} != lexicon length {n}"
             )
-        overlaps = (self._semantic @ semantic_input.units).tolist()
+        overlaps = overlap(self._semantic, semantic_input.units).tolist()
         primed = {
             self._row[word_id]: bonus for word_id, bonus in bonuses.items() if word_id in self._row
         }
@@ -143,7 +143,7 @@ class Lexicon:
             top = max(overlaps)
             if top < self._min_overlap:
                 return None
-            return self._by_id[overlaps.index(top)], top / n
+            return self._by_id[overlaps.index(top)], Fraction(top, n)
         # Primed rows leave the unprimed ranking.
         unprimed = [-n if row in primed else ov for row, ov in enumerate(overlaps)]
         top = max(unprimed)
@@ -154,30 +154,16 @@ class Lexicon:
                 best_row, best_score = row, score
         if best_score < self._threshold:
             return None
-        if best_row in primed:
-            # The choice above is exact; a primed winner's completeness is
-            # reported as the float sum, whose bytes the records pin.
-            return self._by_id[best_row], min(
-                1.0, max(0.0, overlaps[best_row] / n) + primed[best_row]
-            )
-        return self._by_id[best_row], top / n
+        return self._by_id[best_row], best_score
 
 
 def exact_score(ov: int, n: int, bonus: float) -> Fraction:
     """A node's selection score in exact arithmetic: max(0, ov / n) for
     overlap `ov` over `n` units, plus its priming bonus (see
-    `exact_fraction`), capped at 1."""
+    `exact_fraction`), capped at 1. Masked-unit counts are floors of
+    1 - score, and a float score such as 1 - 0.8 = 0.19999999999999996
+    would undercount them."""
     return min(Fraction(1), Fraction(max(0, ov), n) + exact_fraction(bonus))
-
-
-def exact_completeness(semantic_input: BipolarPattern, node: WordNode, bonus: float) -> Fraction:
-    """A selected node's score, exactly (see `exact_score`).
-
-    Masked-unit counts are floors of 1 - c, and a float c such as
-    1 - 0.8 = 0.19999999999999996 would undercount them.
-    """
-    ov = overlap(semantic_input, node.truth["semantic"])
-    return exact_score(ov, len(semantic_input), bonus)
 
 
 @dataclass(frozen=True)

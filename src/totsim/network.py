@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError, TrainingError
-from .patterns import BipolarPattern, floor_count, unit_rows
+from .patterns import BipolarPattern, floor_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,27 +51,27 @@ class ComponentNetwork:
     def n(self) -> int:
         return self.w_int.shape[0]
 
-    def retrieve_once(self, probe):
+    def retrieve_once(self, probe: np.ndarray) -> np.ndarray:
         """One synchronous pass: output_i = sgn(sum_j W_ij probe_j).
 
         Tie rule: sgn(0) = +1. Masked units contribute zero on the input
         side and are forced to +1 on the output side. There is no iteration
         to convergence; repetition happens at the attempt level.
 
-        `probe` is one BipolarPattern, answered with one; or a `(rows, n)`
-        block of +1/-1 unit rows, all evaluated in one integer matmul and
-        answered with a `(rows, n)` block of outputs.
+        `probe` is a +1/-1 unit array whose last axis has the n units: one
+        row, or a `(rows, n)` block evaluated in one integer matmul. The
+        output has the probe's shape and is read-only.
         """
-        x, single = unit_rows(probe)
-        if x.shape[1] != self.n:
-            raise DimensionError(f"probe length {x.shape[1]} != network size {self.n}")
+        if probe.shape[-1] != self.n:
+            raise DimensionError(f"probe length {probe.shape[-1]} != network size {self.n}")
         if self.mask:
-            x = x.copy()
-            x[:, self._mask_arr] = 0
-        out = np.where(x @ self.w_int.T >= 0, 1, -1)
+            probe = probe.copy()
+            probe[..., self._mask_arr] = 0
+        out = np.where(probe @ self.w_int.T >= 0, 1, -1)
         if self.mask:
-            out[:, self._mask_arr] = 1
-        return BipolarPattern(out[0]) if single else out
+            out[..., self._mask_arr] = 1
+        out.flags.writeable = False
+        return out
 
     def damage(
         self, fraction: float, rng: np.random.Generator, protected=()

@@ -159,7 +159,7 @@ def build_metadata(normalized_config: dict, defaults_applied: list[str], fmt: st
         "csv_schema_version": CSV_SCHEMA_VERSION,
         "stream_version": STREAM_VERSION,
         "records_format": fmt,
-        "interval_method": "normal approximation, 95% (rate +/- 1.96 * sqrt(rate * (1 - rate) / n))",
+        "interval_method": "Wilson score interval, 95% (z = 1.96)",
         "seed": normalized_config["seed"],
         "defaults_applied": list(defaults_applied),
         "config": normalized_config,

@@ -129,35 +129,12 @@ def random_pattern(n: int, rng: np.random.Generator) -> BipolarPattern:
     return BipolarPattern(rng.integers(0, 2, size=n) * 2 - 1)
 
 
-def unit_rows(x) -> tuple[np.ndarray, bool]:
-    """`x` as a 2-D block of unit rows, and whether it was one pattern.
-
-    The attempt engine passes raw `(rows, N)` blocks of +1/-1 integers
-    through its stages; single-pattern callers pass a BipolarPattern and get
-    one back.
-    """
-    if isinstance(x, BipolarPattern):
-        return x.units[None, :], True
-    block = np.asarray(x)
-    if block.ndim != 2:
-        raise DimensionError(f"a unit block must be 2-D, got shape {block.shape}")
-    return block, False
-
-
-def overlap(a, b: BipolarPattern):
-    """Dot product of two equal-length patterns; ranges over [-N, N].
-
-    `a` may also be a `(rows, N)` block of units; then the result is an int
-    array with one overlap per row.
-    """
-    if isinstance(a, BipolarPattern):  # the per-node selection and generation path
-        if len(a) != len(b):
-            raise DimensionError(f"length mismatch: {len(a)} vs {len(b)}")
-        return int(a.units @ b.units)
-    rows, _ = unit_rows(a)
-    if rows.shape[1] != len(b):
-        raise DimensionError(f"length mismatch: {rows.shape[1]} vs {len(b)}")
-    return rows @ b.units
+def overlap(a: np.ndarray, b: np.ndarray):
+    """Dot product over the unit axis: for two unit rows, one integer in
+    [-N, N]; for a `(rows, N)` block and one row, one overlap per row."""
+    if a.shape[-1] != b.shape[-1]:
+        raise DimensionError(f"length mismatch: {a.shape[-1]} vs {b.shape[-1]}")
+    return a @ b
 
 
 _MAX_DENOMINATOR = 10**6
@@ -197,10 +174,8 @@ def flip_by_rate(p: BipolarPattern, rate: float, rng: np.random.Generator) -> Bi
     return BipolarPattern(np.where(flips, -p.units, p.units))
 
 
-def slot_match(
-    output: BipolarPattern, reference: BipolarPattern, slots: SlotMap
-) -> dict[str, bool]:
-    """Per-slot exact agreement between an output and its reference.
+def slot_match(output: np.ndarray, reference: np.ndarray, slots: SlotMap) -> dict[str, bool]:
+    """Per-slot exact agreement between an output row and its reference row.
 
     A slot matches iff output equals reference on every index of that slot.
     """
@@ -210,8 +185,7 @@ def slot_match(
         raise DimensionError(
             f"slot map is for length {slots.length}, patterns have {len(output)}"
         )
-    out, ref = output.units, reference.units
     return {
-        name: bool(np.all(out[list(idx)] == ref[list(idx)]))
+        name: bool(np.all(output[list(idx)] == reference[list(idx)]))
         for name, idx in slots.slots.items()
     }

@@ -13,9 +13,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .lexicon import COMPONENTS, NO_BONUSES, Lexicon, exact_completeness
+from .lexicon import COMPONENTS, NO_BONUSES, Lexicon
 from .network import ComponentNetwork
-from .patterns import BipolarPattern, exact_fraction, floor_count, overlap, slot_match, unit_rows
+from .patterns import BipolarPattern, exact_fraction, floor_count, overlap, slot_match
 
 # Most attempts one block holds, so the engine's memory stays bounded at any
 # max_attempts. Part of the random-stream layout (experiment.STREAM_VERSION).
@@ -79,15 +79,15 @@ class ComponentOutcome:
 
     `best_overlap_frac` is the maximum over attempts of
     overlap(output, reference) / N and equals 1 iff some attempt matched
-    exactly; `best_output` is the output that achieved it (None if the
-    component was never attempted).
+    exactly; `best_output` is the read-only unit row of the output that
+    achieved it (None if the component was never attempted).
     """
 
     resolved: bool
     attempts: int
     best_overlap_frac: float
     elapsed_ms: float
-    best_output: BipolarPattern | None = None
+    best_output: np.ndarray | None = None
 
 
 def skipped_outcome() -> ComponentOutcome:
@@ -124,44 +124,36 @@ def chronometry(attempts: int, spike_ms: float, interval_ms: float) -> float:
     return attempts * spike_ms + (attempts - 1) * interval_ms
 
 
-def generate_probe(reference: BipolarPattern, cue_indices, rng: np.random.Generator, rows=None):
-    """Retrieval probes: random +1/-1 units with the cue units clamped to
-    the reference.
+def generate_probe(ref_units: np.ndarray, cue_indices, rng: np.random.Generator, rows: int):
+    """A `(rows, n)` block of retrieval probes: random +1/-1 units with the
+    cue units clamped to the reference units `ref_units`.
 
-    With `rows=None` this draws one probe and returns a BipolarPattern.
-    With `rows` set it draws a `(rows, n)` block of unit rows in one call
-    and returns it as raw integers. `cue_indices` is either one collection
-    of unit indices, clamped in every row, or a `(rows, k)` integer array
-    giving each row its own cue. Always consumes `rows * n` uniforms,
-    independent of the cue.
+    `cue_indices` is either one collection of unit indices, clamped in
+    every row, or a `(rows, k)` integer array giving each row its own cue.
+    Always consumes `rows * n` uniforms, independent of the cue.
     """
-    n = len(reference)
+    n = len(ref_units)
     idx = np.asarray(
         cue_indices if isinstance(cue_indices, np.ndarray) else list(cue_indices),
         dtype=np.int64,
     )
-    probes = np.where(rng.random((1 if rows is None else rows, n)) < 0.5, 1, -1)
+    probes = np.where(rng.random((rows, n)) < 0.5, 1, -1)
     if idx.size:
         if idx.min() < 0 or idx.max() >= n:
             raise DimensionError("cue index out of range")
         if idx.ndim == 2:
-            probes[np.arange(len(idx))[:, None], idx] = reference.units[idx]
+            probes[np.arange(len(idx))[:, None], idx] = ref_units[idx]
         else:
-            probes[:, idx] = reference.units[idx]
-    return BipolarPattern(probes[0]) if rows is None else probes
+            probes[:, idx] = ref_units[idx]
+    return probes
 
 
-def compare(output, reference: BipolarPattern):
-    """Comparator stage: exact unit-wise equality.
-
-    `output` is one pattern (answered with a bool) or a `(rows, n)` block
-    of outputs (answered with one bool per row).
-    """
-    rows, single = unit_rows(output)
-    if rows.shape[1] != len(reference):
-        raise DimensionError(f"length mismatch: {rows.shape[1]} vs {len(reference)}")
-    hits = (rows == reference.units).all(axis=1)
-    return bool(hits[0]) if single else hits
+def compare(output: np.ndarray, reference: np.ndarray):
+    """Comparator stage: exact unit-wise equality over the last axis, so
+    one bool for one output row and one per row for a `(rows, n)` block."""
+    if output.shape[-1] != reference.shape[-1]:
+        raise DimensionError(f"length mismatch: {output.shape[-1]} vs {reference.shape[-1]}")
+    return (output == reference).all(axis=-1)
 
 
 def _per_row_cues(rng: np.random.Generator, rows: int, n: int, k: int) -> np.ndarray:
@@ -203,7 +195,7 @@ def recall_component(
         raise ParameterError(f"cue fraction must be in [0, 1], got {q}")
     if max_attempts < 1:
         raise ParameterError("max_attempts must be >= 1")
-    n = net.n
+    n, ref = net.n, reference.units
     k = floor_count(q, n)
     redraw = cue_indices is None and 0 < k < n
     if cue_indices is None:
@@ -213,20 +205,16 @@ def recall_component(
     while done < max_attempts:
         rows = min(_ATTEMPT_CHUNK, max_attempts - done)
         cues = _per_row_cues(rng, rows, n, k) if redraw else cue_indices
-        probes = generate_probe(reference, cues, rng, rows)
+        probes = generate_probe(ref, cues, rng, rows)
         outputs = net.retrieve_once(probes)
-        hits = compare(outputs, reference)
+        hits = compare(outputs, ref)
         if hits.any():
             first = int(hits.argmax())
             attempts = done + first + 1
             return ComponentOutcome(
-                True,
-                attempts,
-                1.0,
-                chronometry(attempts, spike_ms, interval_ms),
-                BipolarPattern(outputs[first]),
+                True, attempts, 1.0, chronometry(attempts, spike_ms, interval_ms), outputs[first]
             )
-        scores = overlap(outputs, reference)
+        scores = overlap(outputs, ref)
         top = int(scores.argmax())
         if best_score is None or scores[top] > best_score:
             best_score, best_row = int(scores[top]), outputs[top]
@@ -236,7 +224,7 @@ def recall_component(
         max_attempts,
         best_score / n,
         chronometry(max_attempts, spike_ms, interval_ms),
-        BipolarPattern(best_row),
+        best_row,
     )
 
 
@@ -277,14 +265,15 @@ def recall_word(
     """One full recall episode: selection under the trial's priming
     `bonuses`, masking, component cascade.
 
-    Selection completeness c masks floor((1 - c) * n) units of each
-    component network for this episode, with c taken exactly (see
-    `exact_completeness`). Components run in the order semantic, lexical,
-    phonological; each gets cue fraction min(1, q + link_gain * [previous
-    resolved]), summed exactly (see `effective_cue`), and the cascade stops
-    at the first component that fails to resolve (later components count as
-    unattempted), so Resolved means all three resolved and a selected word
-    whose phonological form did not resolve is a TOT.
+    The selected node's exact completeness c (see `Lexicon.select_node`)
+    masks floor((1 - c) * n) units of each component network for this
+    episode; a complete selection masks none. Components run in the order
+    semantic, lexical, phonological; each gets cue fraction min(1, q +
+    link_gain * [previous resolved]), summed exactly (see `effective_cue`),
+    and the cascade stops at the first component that fails to resolve
+    (later components count as unattempted), so Resolved means all three
+    resolved and a selected word whose phonological form did not resolve is
+    a TOT.
     """
     selection = lex.select_node(semantic_input, bonuses)
     if selection is None:
@@ -299,13 +288,10 @@ def recall_word(
             total_time_ms=0.0,
         )
     node, completeness = selection
-    mask_fraction = 1 - exact_completeness(
-        semantic_input, node, bonuses.get(node.id, 0.0)
-    )
-    episode_nets = {}
-    for comp in COMPONENTS:
-        net = node.components[comp]
-        episode_nets[comp] = net.apply_mask(mask_fraction, rng) if mask_fraction > 0 else net
+    episode_nets = node.components
+    if completeness < 1:
+        masked = 1 - completeness
+        episode_nets = {comp: episode_nets[comp].apply_mask(masked, rng) for comp in COMPONENTS}
 
     outcomes: dict[str, ComponentOutcome] = {}
     previous_resolved = False
@@ -339,7 +325,7 @@ def recall_word(
     phon = outcomes["phonological"]
     if phon.best_output is not None:
         partial = slot_match(
-            phon.best_output, node.metamemory_ref["phonological"], node.slot_map
+            phon.best_output, node.metamemory_ref["phonological"].units, node.slot_map
         )
     else:
         partial = {name: False for name in node.slot_map.names()}
@@ -347,7 +333,7 @@ def recall_word(
     return RecallOutcome(
         word_id=node.id,
         selected=True,
-        completeness=completeness,
+        completeness=float(completeness),
         components=outcomes,
         classification=classification,
         tot_strength=tot_strength,

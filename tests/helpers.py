@@ -39,7 +39,7 @@ def reference_select(lex, semantic_input, bonuses):
     by `exact_fraction`; the highest score wins, ties go to the
     lexicographically smallest id, and a best score below the threshold
     (also read by `exact_fraction`) selects nothing. The winner is reported
-    with its score as the float sum min(1, max(0, overlap / N) + bonus)."""
+    with its exact score."""
     n = len(semantic_input)
     x = semantic_input.units.tolist()
     best = None
@@ -48,10 +48,10 @@ def reference_select(lex, semantic_input, bonuses):
         bonus = bonuses.get(node.id, 0.0)
         score = min(Fraction(1), Fraction(max(0, ov), n) + exact_fraction(bonus))
         if best is None or score > best[1] or (score == best[1] and node.id < best[0].id):
-            best = node, score, min(1.0, max(0.0, ov / n) + bonus)
+            best = node, score
     if best[1] < exact_fraction(lex.selection_threshold):
         return None
-    return best[0], best[2]
+    return best
 
 
 def reference_success_prob(net, reference, cue):

@@ -44,7 +44,11 @@ def test_criterion_01_fixed_points():
         n = int(rng.integers(2, 32)) * 2 + 1  # odd, 5..63
         p = random_pattern(n, rng)
         net = train([p])
-        if net.retrieve_once(p) != p or net.retrieve_once(p.negate()) != p.negate():
+        neg = p.negate().units
+        if not (
+            np.array_equal(net.retrieve_once(p.units), p.units)
+            and np.array_equal(net.retrieve_once(neg), neg)
+        ):
             failures += 1
     _verdict(1, "100 single-pattern networks keep p and negate(p) as fixed points", failures == 0)
 

@@ -54,6 +54,18 @@ class TestSimulate:
         assert meta["records_format"] == "csv"
         assert "interval_method" in meta
 
+    def test_interval_method_names_the_summary_intervals(self, tmp_path):
+        # A full cue resolves every trial. The summary's Wilson interval
+        # keeps a width at rate 1, where the normal approximation's is 0.
+        cfg = write_config(tmp_path, minimal_raw())
+        out = tmp_path / "out"
+        main(["simulate", "--config", cfg, "--out", str(out), "--format", "json"])
+        row = json.loads((out / "summary.json").read_text())["summary"][0]
+        assert row["resolved_rate"] == 1.0 and row["resolved_ci_low"] < 1.0
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["interval_method"].startswith("Wilson score interval, 95%")
+        assert "normal" not in meta["interval_method"]
+
     def test_identical_runs_are_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, minimal_raw(recall={"cue_fraction": 0.0}))
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -1,7 +1,8 @@
 """The batched attempt engine against the one-attempt-at-a-time rules it
 replaces: block passes equal row-by-row passes, the stop attempt is the
 first matching row, the best output is the first row of maximal overlap,
-and memory stays bounded by the chunk size."""
+memory stays bounded by the chunk size, and a trial wraps no unit array in
+a BipolarPattern beyond its semantic input."""
 
 import tracemalloc
 
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.random import SeedSequence, default_rng
 
-from totsim import recall
+from totsim import experiment, recall, scenarios
+from totsim.config import parse_config
 from totsim.network import ComponentNetwork, train
 from totsim.patterns import BipolarPattern, overlap, random_pattern
 from totsim.recall import recall_component
@@ -54,8 +56,7 @@ def test_block_pass_equals_row_by_row_pass(net, rows, seed):
     out = net.retrieve_once(block)
     assert out.shape == (rows, net.n)
     for probe, row in zip(block, out):
-        single = net.retrieve_once(BipolarPattern(probe))
-        assert single == BipolarPattern(row)
+        assert net.retrieve_once(probe).tolist() == row.tolist()
         assert row.tolist() == loop_retrieve(net, probe.tolist())
 
 
@@ -74,8 +75,7 @@ class Spy:
 
         def retrieve_once(net, probe):
             out = original(net, probe)
-            if not isinstance(probe, BipolarPattern):
-                self.blocks.append(out.copy())
+            self.blocks.append(out.copy())
             return out
 
         monkeypatch.setattr(ComponentNetwork, "retrieve_once", retrieve_once)
@@ -102,15 +102,16 @@ def test_stop_attempt_and_best_output_follow_the_rows(net, cue_tenths, max_attem
         out = recall_component(net, reference, cue_tenths / 10, max_attempts, rng)
     rows = spy.rows()
     assert len(rows) >= out.attempts
-    matches = [i for i, row in enumerate(rows) if BipolarPattern(row) == reference]
+    ref = reference.units
+    matches = [i for i, row in enumerate(rows) if np.array_equal(row, ref)]
     if matches:
         assert out.resolved and out.attempts == matches[0] + 1
-        assert out.best_output == reference and out.best_overlap_frac == 1.0
+        assert np.array_equal(out.best_output, ref) and out.best_overlap_frac == 1.0
     else:
         assert not out.resolved and out.attempts == max_attempts == len(rows)
-        scores = [overlap(BipolarPattern(row), reference) for row in rows]
+        scores = [overlap(row, ref) for row in rows]
         first_best = scores.index(max(scores))
-        assert out.best_output == BipolarPattern(rows[first_best])
+        assert np.array_equal(out.best_output, rows[first_best])
         assert out.best_overlap_frac == max(scores) / net.n
 
 
@@ -132,7 +133,7 @@ def test_match_in_second_chunk(monkeypatch):
     out = recall_component(train([P9]), unreachable, 0.0, 3 * chunk, default_rng(1))
     assert seen == [chunk, chunk]
     assert out.resolved and out.attempts == target + 1
-    assert out.best_output == BipolarPattern(spy.rows()[target])
+    assert np.array_equal(out.best_output, spy.rows()[target])
 
 
 def test_long_unreachable_loop_stays_in_bounded_memory():
@@ -144,5 +145,30 @@ def test_long_unreachable_loop_stays_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert not out.resolved and out.attempts == 10**6
-    assert out.best_overlap_frac == 7 / 9 and out.best_output == P9
+    assert out.best_overlap_frac == 7 / 9 and np.array_equal(out.best_output, P9.units)
     assert peak < 10**6 * net.n  # a whole int8 block would need this much
+
+
+@pytest.mark.parametrize("name", ["free_recall", "illusory_tot"])
+def test_a_trial_builds_at_most_one_pattern(name, monkeypatch):
+    """The trial loop runs on unit arrays; its one BipolarPattern is the
+    semantic input that `flip_by_rate` draws."""
+    cfg, _ = parse_config(scenarios.load(name, n_trials=6))
+    built, per_trial = [], []
+    init, run_one_trial = BipolarPattern.__init__, experiment.run_one_trial
+
+    def counting_init(self, units):
+        built.append(1)
+        init(self, units)
+
+    def counting_trial(*args):
+        before = len(built)
+        records = run_one_trial(*args)
+        per_trial.append(len(built) - before)
+        return records
+
+    monkeypatch.setattr(BipolarPattern, "__init__", counting_init)
+    monkeypatch.setattr(experiment, "run_one_trial", counting_trial)
+    experiment.run_trials(cfg)
+    assert len(per_trial) == 6 * len(experiment.sweep_points(cfg))
+    assert max(per_trial) <= 1

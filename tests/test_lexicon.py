@@ -1,5 +1,7 @@
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 from numpy.random import SeedSequence, default_rng
@@ -16,7 +18,7 @@ from totsim.lexicon import (
     word_nodes,
 )
 from totsim.patterns import BipolarPattern
-from totsim.recall import RecallParams
+from totsim.recall import RecallParams, recall_word
 
 from helpers import (
     explicit_word,
@@ -45,7 +47,8 @@ class TestBuildLexicon:
         assert node.truth["semantic"].to_text() == "++-+--++-"
         assert node.metamemory_ref == node.truth
         for comp in COMPONENTS:
-            assert node.components[comp].retrieve_once(node.truth[comp]) == node.truth[comp]
+            truth = node.truth[comp].units
+            assert np.array_equal(node.components[comp].retrieve_once(truth), truth)
 
     def test_generator_respects_min_distance(self):
         spec = LexiconSpec(
@@ -116,7 +119,7 @@ class TestSelectNode:
     def test_exact_input_selects_with_full_completeness(self):
         lex = explicit_lexicon(word_spec("apple", "++-+--++-"))
         node, completeness = lex.select_node(BipolarPattern.from_text("++-+--++-"))
-        assert node.id == "apple" and completeness == 1.0
+        assert node.id == "apple" and completeness == Fraction(1)
 
     def test_primed_score_equal_to_the_threshold_selects(self):
         # Overlap 14 of 20 plus 0.1 is exactly 0.8, though the float sum
@@ -128,12 +131,25 @@ class TestSelectNode:
         node, _ = lex.select_node(x, {"w": 0.1})
         assert node.id == "w"
 
+    def test_primed_winner_reports_its_exact_score(self):
+        # The completeness of a primed winner is the exact score it was
+        # selected and masked with, 14 / 20 + 1 / 10 = 4 / 5, not the float
+        # sum 0.7999999999999999, which lies below the threshold it cleared.
+        p = BipolarPattern([1] * 20)
+        lex = Lexicon((explicit_word("w", p),), selection_threshold=0.8)
+        x = p.with_flipped([0, 1, 2])
+        node, completeness = lex.select_node(x, {"w": 0.1})
+        assert node.id == "w" and completeness == Fraction(4, 5)
+        params = RecallParams.with_uniform_cue(1.0)
+        outcome = recall_word(lex, x, params, default_rng(0), {"w": 0.1})
+        assert outcome.completeness == 0.8
+
     def test_unprimed_overlap_at_the_threshold_selects(self):
         # ceil(0.7 * 20) = 14: overlap 14 selects, overlap 12 does not.
         p = BipolarPattern([1] * 20)
         lex = Lexicon((explicit_word("w", p),), selection_threshold=0.7)
         node, completeness = lex.select_node(p.with_flipped([0, 1, 2]))
-        assert node.id == "w" and completeness == 0.7
+        assert node.id == "w" and completeness == Fraction(7, 10)
         assert lex.select_node(p.with_flipped([0, 1, 2, 3])) is None
 
     def test_primed_and_unprimed_exact_tie_goes_to_the_smaller_id(self):
@@ -170,9 +186,9 @@ class TestSelectNode:
             selection_threshold=0.3,
         )
         node, completeness = lex.select_node(x)
-        assert node.id == "a" and completeness == 0.5
+        assert node.id == "a" and completeness == Fraction(1, 2)
         node, completeness = lex.select_node(x, bonuses={"b": 0.3})
-        assert node.id == "b" and completeness == pytest.approx(0.55)
+        assert node.id == "b" and completeness == Fraction(11, 20)
 
     def test_priming_expires_exactly(self):
         # A prime with decay_trials = 2 wins trials 0 and 1 and is gone at 2.
@@ -295,7 +311,7 @@ class TestSelectionMatchesPerNodeLoop:
         lex = Lexicon(tuple(explicit_word(i, p) for i in ("w2", "w10", "w3")), 0.2)
         assert lex.select_node(p.negate()) is None
         node, score = lex.select_node(p.negate(), {"w10": 0.1, "w3": 0.25, "ghost": 0.9})
-        assert node.id == "w3" and score == 0.25
+        assert node.id == "w3" and score == Fraction(1, 4)
 
     def test_negative_bonus_on_the_best_word_hands_selection_on(self):
         a = BipolarPattern([1] * 16)
@@ -303,7 +319,7 @@ class TestSelectionMatchesPerNodeLoop:
         x = a.with_flipped([8, 9, 10, 11])  # overlaps: a 0.5, b 0.25
         lex = Lexicon((explicit_word("a", a), explicit_word("b", b)), 0.1)
         node, score = lex.select_node(x, {"a": -0.4})
-        assert node.id == "b" and score == 0.25
+        assert node.id == "b" and score == Fraction(1, 4)
 
     def test_selection_makes_no_per_node_overlap_call(self, monkeypatch):
         lengths = {c: 15 for c in COMPONENTS}
@@ -315,7 +331,7 @@ class TestSelectionMatchesPerNodeLoop:
         x = lex.node_by_id("w7").truth["semantic"]
         assert lex.select_node(x)[0].id == "w7"
         assert lex.select_node(x, {"w8": 1.0, "w9": 0.1})[0].id == "w7"
-        assert calls == []
+        assert calls == [1, 1]  # one block call per selection, none per node
 
 
 class TestCorruptMetamemory:
@@ -326,9 +342,8 @@ class TestCorruptMetamemory:
         )
         assert hamming(node.metamemory_ref["phonological"], node.truth["phonological"]) == 1
         assert node.metamemory_ref["semantic"] == node.truth["semantic"]
-        assert node.components["phonological"].retrieve_once(
-            node.truth["phonological"]
-        ) == node.truth["phonological"]
+        truth = node.truth["phonological"].units
+        assert np.array_equal(node.components["phonological"].retrieve_once(truth), truth)
 
     def test_invalid_flip_count(self):
         lex = explicit_lexicon(word_spec("a", "+++"))

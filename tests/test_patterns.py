@@ -102,39 +102,39 @@ class TestRandomPattern:
 class TestOverlap:
     def test_self_overlap(self):
         p = random_pattern(9, default_rng(1))
-        assert overlap(p, p) == 9
+        assert overlap(p.units, p.units) == 9
 
     def test_negation(self):
         p = random_pattern(9, default_rng(2))
-        assert overlap(p, p.negate()) == -9
+        assert overlap(p.units, p.negate().units) == -9
 
     def test_two_of_nine_differ(self):
         p = random_pattern(9, default_rng(3))
-        assert overlap(p, p.with_flipped([4, 7])) == 5
+        assert overlap(p.units, p.with_flipped([4, 7]).units) == 5
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            overlap(BipolarPattern([1, 1]), BipolarPattern([1, 1, 1]))
+            overlap(BipolarPattern([1, 1]).units, BipolarPattern([1, 1, 1]).units)
 
     @given(paired_patterns())
     def test_symmetry(self, pair):
         a, b = pair
-        assert overlap(a, b) == overlap(b, a)
+        assert overlap(a.units, b.units) == overlap(b.units, a.units)
 
     @given(paired_patterns())
     def test_parity_matches_length(self, pair):
         a, b = pair
-        assert overlap(a, b) % 2 == len(a) % 2
+        assert overlap(a.units, b.units) % 2 == len(a) % 2
 
     @given(paired_patterns())
     def test_negation_antisymmetry(self, pair):
         a, b = pair
-        assert overlap(a, b.negate()) == -overlap(a, b)
+        assert overlap(a.units, b.negate().units) == -overlap(a.units, b.units)
 
     @given(paired_patterns())
     def test_hamming_relation(self, pair):
         a, b = pair
-        assert overlap(a, b) == len(a) - 2 * hamming(a, b)
+        assert overlap(a.units, b.units) == len(a) - 2 * hamming(a, b)
 
 
 class TestFlipByRate:
@@ -177,23 +177,23 @@ class TestSlotMatch:
         self.ref = BipolarPattern.from_text("++-+--++-")
 
     def test_identical_all_true(self):
-        assert slot_match(self.ref, self.ref, self.slots) == {
+        assert slot_match(self.ref.units, self.ref.units, self.slots) == {
             "first_letter": True,
             "ending": True,
         }
 
     def test_mismatch_outside_slots_ignored(self):
         out = self.ref.with_flipped([4, 5])
-        assert all(slot_match(out, self.ref, self.slots).values())
+        assert all(slot_match(out.units, self.ref.units, self.slots).values())
 
     def test_single_flip_inside_slot(self):
         out = self.ref.with_flipped([1])
-        got = slot_match(out, self.ref, self.slots)
+        got = slot_match(out.units, self.ref.units, self.slots)
         assert got == {"first_letter": False, "ending": True}
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            slot_match(BipolarPattern([1, 1]), BipolarPattern([1, 1]), self.slots)
+            slot_match(BipolarPattern([1, 1]).units, BipolarPattern([1, 1]).units, self.slots)
 
     @given(st.data())
     def test_agreement_monotone(self, data):
@@ -205,8 +205,8 @@ class TestSlotMatch:
         agree_big = agree_small | extra
         out_small = ref.with_flipped(set(range(n)) - agree_small)
         out_big = ref.with_flipped(set(range(n)) - agree_big)
-        small = slot_match(out_small, ref, self.slots)
-        big = slot_match(out_big, ref, self.slots)
+        small = slot_match(out_small.units, ref.units, self.slots)
+        big = slot_match(out_big.units, ref.units, self.slots)
         for name in self.slots.names():
             if small[name]:
                 assert big[name]

@@ -10,18 +10,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .config import load_raw_config, normalized_dict, parse_config
 from .errors import CapacityError, ConfigError, TotsimError
 from .experiment import (
-    SweepPoint,
     build_scenario_lexicon,
     damaged_lexicon,
     exact_success_prob,
     run_trials,
     summarize,
+    sweep_points,
 )
 from .lexicon import COMPONENTS
 from .output import (
@@ -63,10 +64,10 @@ def _cmd_oracle(args) -> int:
     cfg, _ = parse_config(raw)
     if args.component not in COMPONENTS:
         raise ConfigError("component", f"must be one of {COMPONENTS}, got {args.component!r}")
-    # The oracle evaluates the base scenario (sweep axes ignored): the
-    # damage plan at its declared fractions, cue = the lowest cue_size unit
-    # indices.
-    lex = damaged_lexicon(cfg, build_scenario_lexicon(cfg), SweepPoint(0, None, None, None))
+    # The oracle evaluates the unswept base point: the damage plan at its
+    # declared fractions, cue = the lowest cue_size unit indices.
+    base_point = sweep_points(replace(cfg, sweep=None))[0]
+    lex = damaged_lexicon(cfg, build_scenario_lexicon(cfg), base_point)
     node = lex.node_by_id(args.word)
     net = node.components[args.component]
     if not 0 <= args.cue_size <= net.n:

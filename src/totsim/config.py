@@ -307,9 +307,24 @@ def _component_length(lexicon: LexiconSpec, component: str) -> int:
     return lexicon.generator.lengths[component]
 
 
+def _check_one_per_component(entries, path: str) -> None:
+    """Two entries on one (word, component) would compound silently: a
+    second damage draw or a second set of flips on the first one's result."""
+    first = {}
+    for i, entry in enumerate(entries):
+        j = first.setdefault((entry.word, entry.component), i)
+        if j != i:
+            raise ConfigError(
+                f"{path}[{i}]",
+                f"repeats the word and component of {path}[{j}]; one entry per (word, component)",
+            )
+
+
 def _check_references(cfg: ScenarioConfig) -> None:
     lexicon = cfg.lexicon
     _check_word(lexicon, cfg.target, "target")
+    _check_one_per_component(cfg.damage, "damage")
+    _check_one_per_component(cfg.metamemory_corruption, "metamemory_corruption")
     for i, entry in enumerate(cfg.damage):
         _check_word(lexicon, entry.word, f"damage[{i}].word")
         slots_path = f"damage[{i}].protected_slots"

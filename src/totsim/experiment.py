@@ -94,12 +94,24 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One cell of the sweep grid; None coordinates mean 'not swept'."""
+    """One cell of the sweep grid, resolved: what its trials run and the
+    coordinates its records carry.
+
+    `params` are the recall parameters in effect, `flip_rate` the semantic
+    input flip rate and `damage` the damage plan, with a swept d in every
+    entry. `sweep_q` and `sweep_d` are the grid values of swept axes. An
+    unswept `sweep_q` is the target's phonological cue fraction; an
+    unswept `sweep_d` is the fraction of the one damage entry on the
+    target's phonological component, or 0 when there is none. `index` keys
+    the point's damage and trial streams.
+    """
 
     index: int
-    q: float | None
-    d: float | None
-    flip_rate: float | None
+    params: RecallParams
+    flip_rate: float
+    damage: tuple[DamagePlanEntry, ...]
+    sweep_q: float
+    sweep_d: float
 
 
 @dataclass(frozen=True)
@@ -149,16 +161,28 @@ class SummaryRow:
 
 
 def sweep_points(cfg: ScenarioConfig) -> list[SweepPoint]:
-    """Cartesian product of the declared grid axes, in declaration order."""
+    """Every point of the scenario, resolved once: the Cartesian product of
+    the declared grid axes in declaration order, or the one base point when
+    nothing is swept. The recall parameters are built once per q value."""
     grid = cfg.sweep or SweepGrid()
-    q_axis = grid.q if grid.q is not None else (None,)
-    d_axis = grid.d if grid.d is not None else (None,)
-    f_axis = grid.flip_rate if grid.flip_rate is not None else (None,)
+    if grid.q is None:
+        q_axis = [(cfg.recall, cfg.recall.cue_fraction["phonological"])]
+    else:
+        q_axis = [
+            (replace(cfg.recall, cue_fraction=dict.fromkeys(COMPONENTS, q)), q) for q in grid.q
+        ]
+    if grid.d is None:
+        target = (cfg.target, "phonological")
+        d = next((e.fraction for e in cfg.damage if (e.word, e.component) == target), 0.0)
+        d_axis = [(cfg.damage, d)]
+    else:
+        d_axis = [(tuple(replace(entry, fraction=d) for entry in cfg.damage), d) for d in grid.d]
+    f_axis = grid.flip_rate if grid.flip_rate is not None else (cfg.semantic_input_flip_rate,)
     points = []
-    for q in q_axis:
-        for d in d_axis:
+    for params, q in q_axis:
+        for damage, d in d_axis:
             for f in f_axis:
-                points.append(SweepPoint(len(points), q, d, f))
+                points.append(SweepPoint(len(points), params, f, damage, float(q), float(d)))
     return points
 
 
@@ -189,37 +213,27 @@ def _slot_indices(node: WordNode, slot_names) -> list[int]:
 
 
 def damaged_lexicon(cfg: ScenarioConfig, lex: Lexicon, point: SweepPoint) -> Lexicon:
-    """Apply the damage plan at one sweep point (d axis overrides fractions).
+    """Apply the point's damage plan `point.damage` to the base lexicon.
 
-    Damage is trait-like: drawn once per sweep point from a keyed stream and
-    shared by every trial at that point.
+    Damage is trait-like: drawn once per sweep point from the stream keyed
+    `(seed, SEED_TAG_DAMAGE, point.index)`, entry by entry in (word,
+    component) order, and shared by every trial at that point.
     """
-    if not cfg.damage:
+    if not point.damage:
         return lex
     rng = default_rng(SeedSequence((cfg.seed, SEED_TAG_DAMAGE, point.index)))
     nodes = {node.id: node for node in lex.nodes}
-    for entry in sorted(cfg.damage, key=lambda e: (e.word, e.component)):
+    for entry in sorted(point.damage, key=lambda e: (e.word, e.component)):
         node = nodes[entry.word]
-        fraction = point.d if point.d is not None else entry.fraction
         protected = _slot_indices(node, entry.protected_slots) if (
             entry.component == "phonological"
         ) else []
         components = dict(node.components)
         components[entry.component] = components[entry.component].damage(
-            fraction, rng, protected=protected
+            entry.fraction, rng, protected=protected
         )
         nodes[entry.word] = replace(node, components=components)
     return Lexicon(tuple(nodes[node.id] for node in lex.nodes), lex.selection_threshold)
-
-
-def effective_params(cfg: ScenarioConfig, point: SweepPoint) -> RecallParams:
-    if point.q is None:
-        return cfg.recall
-    return replace(cfg.recall, cue_fraction={comp: point.q for comp in COMPONENTS})
-
-
-def effective_flip_rate(cfg: ScenarioConfig, point: SweepPoint) -> float:
-    return point.flip_rate if point.flip_rate is not None else cfg.semantic_input_flip_rate
 
 
 def materialize_bonuses(cfg: ScenarioConfig, trial: int) -> dict[str, float]:
@@ -235,27 +249,6 @@ def materialize_bonuses(cfg: ScenarioConfig, trial: int) -> dict[str, float]:
     return bonuses
 
 
-def _point_coordinates(cfg: ScenarioConfig, point: SweepPoint) -> tuple[float, float]:
-    """(sweep_q, sweep_d) for emitted records.
-
-    When an axis is swept the coordinate is the grid value; otherwise it is
-    the effective value at the target's phonological component (cue fraction
-    resp. planned damage fraction, 0 when undamaged).
-    """
-    if point.q is not None:
-        q = point.q
-    else:
-        q = cfg.recall.cue_fraction["phonological"]
-    if point.d is not None:
-        d = point.d
-    else:
-        d = 0.0
-        for entry in cfg.damage:
-            if entry.word == cfg.target and entry.component == "phonological":
-                d = entry.fraction
-    return float(q), float(d)
-
-
 def _outcome_to_record(
     cfg: ScenarioConfig,
     point: SweepPoint,
@@ -263,12 +256,11 @@ def _outcome_to_record(
     episode: int,
     outcome: RecallOutcome,
 ) -> TrialRecord:
-    q, d = _point_coordinates(cfg, point)
     return TrialRecord(
         trial=trial,
-        sweep_q=q,
-        sweep_d=d,
-        flip_rate=effective_flip_rate(cfg, point),
+        sweep_q=point.sweep_q,
+        sweep_d=point.sweep_d,
+        flip_rate=point.flip_rate,
         episode=episode,
         classification=outcome.classification.value,
         sel_completeness=outcome.completeness,
@@ -291,15 +283,12 @@ def run_one_trial(
     re-draws probes. Episode k+1 runs only if episode k did not resolve.
     """
     rng = default_rng(SeedSequence((cfg.seed, SEED_TAG_TRIAL, point.index, trial)))
-    params = effective_params(cfg, point)
     target = lex.node_by_id(cfg.target)
-    semantic_input = flip_by_rate(
-        target.truth["semantic"], effective_flip_rate(cfg, point), rng
-    )
+    semantic_input = flip_by_rate(target.truth["semantic"], point.flip_rate, rng)
     bonuses = materialize_bonuses(cfg, trial)
     records = []
     for episode in range(1, cfg.episodes_per_trial + 1):
-        outcome = recall_word(lex, semantic_input, params, rng, bonuses=bonuses)
+        outcome = recall_word(lex, semantic_input, point.params, rng, bonuses=bonuses)
         records.append(_outcome_to_record(cfg, point, trial, episode, outcome))
         if outcome.classification is Classification.RESOLVED:
             break
@@ -334,23 +323,23 @@ def run_trials(cfg: ScenarioConfig, workers: int = 1) -> list[TrialRecord]:
     """Run the whole scenario; record content is a pure function of the
     config and seed, independent of the worker count.
 
-    When the trials are split over workers, every point's damaged lexicon
-    is built up front and one process pool serves the whole run: each
-    worker receives the lexicons once, through the pool initializer, and
-    each task is one trial range `(cfg, point, lo, hi)`. Records come back
-    in point order, then trial order.
+    Every point's damaged lexicon is built up front. With one worker the
+    points run in order in the calling process. When the trials are split
+    over workers, one process pool serves the whole run: each worker
+    receives the lexicons once, through the pool initializer, and each task
+    is one trial range `(cfg, point, lo, hi)`. Records come back in point
+    order, then trial order.
     """
     if workers < 1:
         raise ParameterError("workers must be >= 1")
     base = build_scenario_lexicon(cfg)
     points = sweep_points(cfg)
+    lexicons = {point.index: damaged_lexicon(cfg, base, point) for point in points}
     records: list[TrialRecord] = []
     if workers == 1 or cfg.n_trials < 2 * workers:
         for point in points:
-            lex = damaged_lexicon(cfg, base, point)
-            records.extend(_run_trial_range(cfg, lex, point, 0, cfg.n_trials))
+            records.extend(_run_trial_range(cfg, lexicons[point.index], point, 0, cfg.n_trials))
         return records
-    lexicons = {point.index: damaged_lexicon(cfg, base, point) for point in points}
     bounds = np.linspace(0, cfg.n_trials, workers + 1, dtype=int).tolist()
     tasks = [
         (cfg, point, lo, hi)
@@ -463,26 +452,6 @@ def _split_sum_count(w: np.ndarray, ref: np.ndarray, live, cue, free) -> int:
             block_ok &= block_passes
         count += int(np.count_nonzero(block_ok))
     return count
-
-
-def mean_success_prob_under_damage(
-    net: ComponentNetwork,
-    reference: BipolarPattern,
-    cue_indices,
-    fraction: float,
-    draws: int,
-    seed: int,
-    protected=(),
-) -> Fraction:
-    """Exact mean per-attempt success probability over independent damage draws."""
-    if draws < 1:
-        raise ParameterError("draws must be >= 1")
-    total = Fraction(0)
-    for k in range(draws):
-        rng = default_rng(SeedSequence((seed, k)))
-        damaged = net.damage(fraction, rng, protected=protected)
-        total += exact_success_prob(damaged, reference, cue_indices)
-    return total / draws
 
 
 _Z95 = 1.96

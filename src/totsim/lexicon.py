@@ -105,11 +105,6 @@ class Lexicon:
             raise ConfigError("lexicon", f"unknown word id {word_id!r}")
         return self._by_id[row]
 
-    def component_length(self, component: str) -> int:
-        if not self.nodes:
-            raise ConfigError("lexicon", "lexicon has no word nodes")
-        return self.nodes[0].component_length(component)
-
     def select_node(
         self, semantic_input: BipolarPattern, bonuses: Mapping[str, float] = NO_BONUSES
     ):

@@ -268,12 +268,13 @@ def recall_word(
     The selected node's exact completeness c (see `Lexicon.select_node`)
     masks floor((1 - c) * n) units of each component network for this
     episode; a complete selection masks none. Components run in the order
-    semantic, lexical, phonological; each gets cue fraction min(1, q +
-    link_gain * [previous resolved]), summed exactly (see `effective_cue`),
-    and the cascade stops at the first component that fails to resolve
-    (later components count as unattempted), so Resolved means all three
-    resolved and a selected word whose phonological form did not resolve is
-    a TOT.
+    semantic, lexical, phonological, and the cascade stops at the first
+    component that fails to resolve (later components count as
+    unattempted), so Resolved means all three resolved and a selected word
+    whose phonological form did not resolve is a TOT. Every component the
+    cascade reaches after the first therefore follows a resolved one and
+    gets cue fraction min(1, q + link_gain), summed exactly (see
+    `effective_cue`); the first gets q.
     """
     selection = lex.select_node(semantic_input, bonuses)
     if selection is None:
@@ -293,15 +294,9 @@ def recall_word(
         masked = 1 - completeness
         episode_nets = {comp: episode_nets[comp].apply_mask(masked, rng) for comp in COMPONENTS}
 
-    outcomes: dict[str, ComponentOutcome] = {}
-    previous_resolved = False
-    reached = True
+    outcomes = {comp: skipped_outcome() for comp in COMPONENTS}
     for i, comp in enumerate(COMPONENTS):
-        if not reached:
-            outcomes[comp] = skipped_outcome()
-            continue
-        gain = params.link_gain if (i > 0 and previous_resolved) else 0.0
-        q_eff = effective_cue(params.cue_fraction[comp], gain)
+        q_eff = effective_cue(params.cue_fraction[comp], params.link_gain if i else 0.0)
         fixed_idx = None
         if params.fixed_cue_per_episode:
             k = floor_count(q_eff, episode_nets[comp].n)
@@ -317,9 +312,8 @@ def recall_word(
             cue_indices=fixed_idx,
         )
         outcomes[comp] = outcome
-        previous_resolved = outcome.resolved
         if not outcome.resolved:
-            reached = False
+            break
 
     classification, tot_strength = classify_outcome(True, outcomes)
     phon = outcomes["phonological"]

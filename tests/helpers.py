@@ -4,8 +4,10 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from totsim.errors import GenerationError
+from totsim.experiment import exact_success_prob
 from totsim.lexicon import COMPONENTS, WordNode, WordSpec
 from totsim.network import train
 from totsim.patterns import BipolarPattern, SlotMap, exact_fraction, random_pattern
@@ -65,6 +67,17 @@ def reference_success_prob(net, reference, cue):
     probes[:, free] = list(itertools.product((1, -1), repeat=len(free)))
     hits = np.all(net.retrieve_once(probes) == reference.units, axis=1).sum()
     return Fraction(int(hits), 2 ** len(free))
+
+
+def mean_success_prob_under_damage(net, reference, cue_indices, fraction, draws, seed):
+    """Exact mean per-attempt success probability over `draws` independent
+    damage draws, draw k on the stream keyed `(seed, k)`."""
+    total = Fraction(0)
+    for k in range(draws):
+        rng = default_rng(SeedSequence((seed, k)))
+        damaged = net.damage(fraction, rng)
+        total += exact_success_prob(damaged, reference, cue_indices)
+    return total / draws
 
 
 def reference_generated_patterns(gen, component, rng, budget=1000):

@@ -16,7 +16,6 @@ from totsim.config import parse_config
 from totsim.experiment import (
     TrialRecord,
     exact_success_prob,
-    mean_success_prob_under_damage,
     run_trials,
     summarize,
     validate_record_rows,
@@ -27,7 +26,7 @@ from totsim.patterns import BipolarPattern, random_pattern
 from totsim.recall import Classification, RecallParams, chronometry, recall_component, recall_word
 from totsim.lexicon import Lexicon, corrupt_metamemory
 
-from helpers import explicit_word
+from helpers import explicit_word, mean_success_prob_under_damage
 
 P9 = BipolarPattern.from_text("++-+--++-")
 

@@ -7,6 +7,7 @@ import pytest
 
 from totsim.config import load_raw_config, normalized_dict, parse_config
 from totsim.errors import ConfigError
+from totsim.experiment import materialize_bonuses
 from totsim.lexicon import COMPONENTS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -238,6 +239,31 @@ class TestValidationErrors:
         with pytest.raises(ConfigError) as e:
             parse_config(raw)
         assert path_of(e) == f"sweep.{axis}[2]"
+
+    @pytest.mark.parametrize(
+        "key, entry",
+        [
+            ("damage", {"word": "apple", "component": "phonological", "fraction": 0.5}),
+            ("metamemory_corruption", {"word": "apple", "component": "phonological", "flips": 1}),
+        ],
+        ids=["damage", "metamemory_corruption"],
+    )
+    def test_one_entry_per_word_and_component(self, key, entry):
+        # A repeat would act on the first entry's result: a second damage
+        # draw that sweep_d does not report, or flips that may undo the first.
+        other_component = {**entry, "component": "lexical"}
+        raw = minimal_raw(**{key: [entry, other_component, dict(entry)]})
+        with pytest.raises(ConfigError) as e:
+            parse_config(raw)
+        assert path_of(e) == f"{key}[2]"
+        assert f"{key}[0]" in str(e.value)
+        cfg, _ = parse_config(minimal_raw(**{key: [entry, other_component]}))
+        assert len(getattr(cfg, key)) == 2
+
+    def test_priming_entries_on_one_word_sum(self):
+        priming = [{"word": "apple", "bonus": 0.25, "decay_trials": 2}] * 2
+        cfg, _ = parse_config(minimal_raw(priming=priming))
+        assert materialize_bonuses(cfg, 1) == {"apple": 0.5}
 
     def test_priming_unknown_word(self):
         raw = minimal_raw(priming=[{"word": "pear", "bonus": 0.2, "decay_trials": 1}])

@@ -9,27 +9,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.random import SeedSequence, default_rng
 
-from totsim import experiment
+from totsim import experiment, scenarios
 from totsim.config import parse_config
 from totsim.errors import CapacityError, DimensionError, ParameterError
 from totsim.experiment import (
-    SweepPoint,
+    SweepGrid,
     build_scenario_lexicon,
     damaged_lexicon,
     exact_success_prob,
     materialize_bonuses,
-    mean_success_prob_under_damage,
     run_trials,
     summarize,
     sweep_points,
     validate_record_rows,
 )
+from totsim.lexicon import COMPONENTS
 from totsim.network import train
 from totsim.output import record_row, read_record_rows, write_records_csv
 from totsim.patterns import BipolarPattern, random_pattern
-from totsim.recall import recall_component
+from totsim.recall import RecallParams, recall_component
 
-from helpers import reference_success_prob
+from helpers import mean_success_prob_under_damage, reference_success_prob
 
 P9 = BipolarPattern.from_text("++-+--++-")
 
@@ -58,8 +58,14 @@ def single_word_cfg(**overrides):
 
 class TestSweepPoints:
     def test_no_sweep_single_point(self):
-        points = sweep_points(single_word_cfg())
-        assert points == [SweepPoint(0, None, None, None)]
+        cfg = single_word_cfg()
+        points = sweep_points(cfg)
+        assert len(points) == 1
+        point = points[0]
+        assert point.index == 0
+        assert point.params is cfg.recall
+        assert point.flip_rate == cfg.semantic_input_flip_rate
+        assert point.damage == cfg.damage
 
     def test_cartesian_product_in_declaration_order(self):
         cfg = single_word_cfg(
@@ -67,10 +73,63 @@ class TestSweepPoints:
         )
         points = sweep_points(cfg)
         assert len(points) == 6
-        assert [(p.q, p.flip_rate) for p in points] == [
-            (q, f) for q in (0.0, 0.5) for f in (0.0, 0.1, 0.2)
+        grid = [(q, f) for q in (0.0, 0.5) for f in (0.0, 0.1, 0.2)]
+        assert [(p.sweep_q, p.flip_rate) for p in points] == grid
+        assert [p.params.cue_fraction for p in points] == [
+            dict.fromkeys(COMPONENTS, q) for q, _ in grid
         ]
         assert [p.index for p in points] == list(range(6))
+
+    def test_unswept_point_resolves_base_values(self):
+        cfg = single_word_cfg(
+            lexicon={
+                "words": [{"id": "target", **{c: P9.to_text() for c in COMPONENTS}}],
+                "slots": {"first_letter": [0, 1, 2]},
+            },
+            recall={
+                "cue_fraction": {"semantic": 1.0, "lexical": 0.5, "phonological": 0.25},
+                "max_attempts": 4,
+            },
+            semantic_input_flip_rate=0.1,
+            damage=[
+                {"word": "target", "component": "lexical", "fraction": 0.2},
+                {
+                    "word": "target",
+                    "component": "phonological",
+                    "fraction": 0.4,
+                    "protected_slots": ["first_letter"],
+                },
+            ],
+        )
+        (point,) = sweep_points(cfg)
+        assert (point.sweep_q, point.sweep_d, point.flip_rate) == (0.25, 0.4, 0.1)
+        assert point.damage == cfg.damage
+        (undamaged,) = sweep_points(replace(cfg, damage=cfg.damage[:1]))
+        assert undamaged.sweep_d == 0.0
+
+        swept = sweep_points(replace(cfg, sweep=SweepGrid(d=(0.0, 0.7))))
+        assert [p.sweep_d for p in swept] == [0.0, 0.7]
+        for p, d in zip(swept, (0.0, 0.7)):
+            assert [e.fraction for e in p.damage] == [d, d]
+            assert [e.protected_slots for e in p.damage] == [(), ("first_letter",)]
+            assert [(e.word, e.component) for e in p.damage] == [
+                (e.word, e.component) for e in cfg.damage
+            ]
+            assert (p.sweep_q, p.flip_rate) == (0.25, 0.1)
+
+    def test_recall_params_built_once_per_point(self, monkeypatch):
+        cfg, _ = parse_config(scenarios.load("cue_sweep", n_trials=6))
+        built = []
+        post_init = RecallParams.__post_init__
+
+        def counting_post_init(self):
+            built.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(RecallParams, "__post_init__", counting_post_init)
+        records = run_trials(cfg)
+        assert len(records) == 6 * 6
+        assert 0 < len(built) <= len(sweep_points(cfg))
 
 
 class TestRunTrials:
@@ -481,13 +540,18 @@ class TestScenarioLexicon:
         assert node_a.metamemory_ref["phonological"] != node_a.truth["phonological"]
 
     def test_damage_keyed_per_sweep_point(self):
+        # The flip_rate axis leaves the damage plan as it is, so the two
+        # points differ only in the index that keys their damage stream.
         cfg = single_word_cfg(
-            damage=[{"word": "target", "component": "phonological", "fraction": 0.5}]
+            damage=[{"word": "target", "component": "phonological", "fraction": 0.5}],
+            sweep={"flip_rate": [0.0, 0.1]},
         )
         base = build_scenario_lexicon(cfg)
-        a = damaged_lexicon(cfg, base, SweepPoint(0, None, None, None))
-        b = damaged_lexicon(cfg, base, SweepPoint(0, None, None, None))
-        c = damaged_lexicon(cfg, base, SweepPoint(1, None, None, None))
+        first, second = sweep_points(cfg)
+        assert first.damage == second.damage
+        a = damaged_lexicon(cfg, base, first)
+        b = damaged_lexicon(cfg, base, first)
+        c = damaged_lexicon(cfg, base, second)
         wa = a.node_by_id("target").components["phonological"].w_int
         wb = b.node_by_id("target").components["phonological"].w_int
         wc = c.node_by_id("target").components["phonological"].w_int
@@ -516,7 +580,7 @@ class TestScenarioLexicon:
                 }
             ],
         )
-        lex = damaged_lexicon(cfg, build_scenario_lexicon(cfg), SweepPoint(0, None, None, None))
+        lex = damaged_lexicon(cfg, build_scenario_lexicon(cfg), sweep_points(cfg)[0])
         w = lex.node_by_id("target").components["phonological"].w_int
         assert w[:3, :3].all()  # slot block intact
         assert not w[3:, 3:].any()  # everything else zeroed

@@ -5,7 +5,7 @@ classification, and attempt-based chronometry."""
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -80,19 +80,18 @@ class ComponentOutcome:
     `best_overlap_frac` is the maximum over attempts of
     overlap(output, reference) / N and equals 1 iff some attempt matched
     exactly; `best_output` is the read-only unit row of the output that
-    achieved it (None if the component was never attempted).
+    achieved it (None if the component was never attempted). Outcomes
+    compare by `resolved`, `attempts` and `best_overlap_frac`.
     """
 
     resolved: bool
     attempts: int
     best_overlap_frac: float
-    elapsed_ms: float
-    best_output: np.ndarray | None = None
+    best_output: np.ndarray | None = field(default=None, compare=False)
 
 
-def skipped_outcome() -> ComponentOutcome:
-    """Outcome of a component the cascade never reached."""
-    return ComponentOutcome(False, 0, 0.0, 0.0, None)
+# Outcome of a component the cascade never reached.
+SKIPPED = ComponentOutcome(False, 0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -128,15 +127,12 @@ def generate_probe(ref_units: np.ndarray, cue_indices, rng: np.random.Generator,
     """A `(rows, n)` block of retrieval probes: random +1/-1 units with the
     cue units clamped to the reference units `ref_units`.
 
-    `cue_indices` is either one collection of unit indices, clamped in
-    every row, or a `(rows, k)` integer array giving each row its own cue.
+    `cue_indices` is either one sequence of unit indices, clamped in every
+    row, or a `(rows, k)` integer array giving each row its own cue.
     Always consumes `rows * n` uniforms, independent of the cue.
     """
     n = len(ref_units)
-    idx = np.asarray(
-        cue_indices if isinstance(cue_indices, np.ndarray) else list(cue_indices),
-        dtype=np.int64,
-    )
+    idx = np.asarray(cue_indices, dtype=np.int64)
     probes = np.where(rng.random((rows, n)) < 0.5, 1, -1)
     if idx.size:
         if idx.min() < 0 or idx.max() >= n:
@@ -169,23 +165,22 @@ def recall_component(
     max_attempts: int,
     rng: np.random.Generator,
     *,
-    spike_ms: float = 1.0,
-    interval_ms: float = 10.0,
-    cue_indices=None,
+    fixed_cue: bool = False,
 ) -> ComponentOutcome:
     """Attempt loop for one component: probe, retrieve once, compare, repeat.
 
     Stops at the first exact match against `reference` or after
-    `max_attempts`. floor(q * N) cue indices (exact, see `floor_count`)
-    are redrawn uniformly per attempt unless explicit `cue_indices` pin
-    them for the whole loop.
+    `max_attempts`. k = floor(q * N) cue indices (exact, see `floor_count`)
+    are redrawn uniformly per attempt, or, with `fixed_cue`, drawn once
+    before the first attempt (`rng.choice(N, k, replace=False)`, also when
+    k is 0 or N) and clamped in every attempt.
 
     No attempt depends on an earlier one apart from the stop rule, so the
     attempts run in chunks of up to `_ATTEMPT_CHUNK`: per chunk, one key
     block for the cues (only when they are redrawn and 0 < k < N), one
     probe block, one pass and one compare. The stop attempt is the first
     matching row; otherwise `best_output` is the first row of maximal
-    overlap.
+    overlap. Time is the caller's: see `chronometry`.
     """
     if len(reference) != net.n:
         raise DimensionError(
@@ -197,48 +192,38 @@ def recall_component(
         raise ParameterError("max_attempts must be >= 1")
     n, ref = net.n, reference.units
     k = floor_count(q, n)
-    redraw = cue_indices is None and 0 < k < n
-    if cue_indices is None:
-        cue_indices = range(k)  # k is 0 or n: no cue or the whole pattern
+    if fixed_cue:
+        cue = rng.choice(n, size=k, replace=False)
+    elif k in (0, n):
+        cue = range(k)  # no cue or the whole pattern
+    else:
+        cue = None  # redrawn per attempt
     best_score, best_row = None, None
     done = 0
     while done < max_attempts:
         rows = min(_ATTEMPT_CHUNK, max_attempts - done)
-        cues = _per_row_cues(rng, rows, n, k) if redraw else cue_indices
+        cues = _per_row_cues(rng, rows, n, k) if cue is None else cue
         probes = generate_probe(ref, cues, rng, rows)
         outputs = net.retrieve_once(probes)
         hits = compare(outputs, ref)
         if hits.any():
             first = int(hits.argmax())
-            attempts = done + first + 1
-            return ComponentOutcome(
-                True, attempts, 1.0, chronometry(attempts, spike_ms, interval_ms), outputs[first]
-            )
+            return ComponentOutcome(True, done + first + 1, 1.0, outputs[first])
         scores = overlap(outputs, ref)
         top = int(scores.argmax())
         if best_score is None or scores[top] > best_score:
             best_score, best_row = int(scores[top]), outputs[top]
         done += rows
-    return ComponentOutcome(
-        False,
-        max_attempts,
-        best_score / n,
-        chronometry(max_attempts, spike_ms, interval_ms),
-        best_row,
-    )
+    return ComponentOutcome(False, max_attempts, best_score / n, best_row)
 
 
-def classify_outcome(
-    selected: bool, outcomes: dict[str, ComponentOutcome]
-) -> tuple[Classification, float]:
-    """Classification and TOT strength from the cascade trace.
+def classify_outcome(outcomes: dict[str, ComponentOutcome]) -> tuple[Classification, float]:
+    """Classification and TOT strength of a selected word's cascade trace.
 
-    NoAccess when selection failed; Resolved when every component resolved;
-    otherwise TOT with strength = best observed phonological overlap
-    fraction (clamped at 0). Total over valid inputs.
+    Resolved when every component resolved; otherwise TOT with strength =
+    best observed phonological overlap fraction (clamped at 0). NoAccess is
+    decided before the cascade, where selection fails.
     """
-    if not selected:
-        return Classification.NO_ACCESS, 0.0
     if all(outcomes[comp].resolved for comp in COMPONENTS):
         return Classification.RESOLVED, 1.0
     return Classification.TOT, max(0.0, outcomes["phonological"].best_overlap_frac)
@@ -274,7 +259,8 @@ def recall_word(
     whose phonological form did not resolve is a TOT. Every component the
     cascade reaches after the first therefore follows a resolved one and
     gets cue fraction min(1, q + link_gain), summed exactly (see
-    `effective_cue`); the first gets q.
+    `effective_cue`); the first gets q. The episode's time is the sum over
+    components, in cascade order, of `chronometry` of their attempts.
     """
     selection = lex.select_node(semantic_input, bonuses)
     if selection is None:
@@ -282,7 +268,7 @@ def recall_word(
             word_id=None,
             selected=False,
             completeness=0.0,
-            components={comp: skipped_outcome() for comp in COMPONENTS},
+            components=dict.fromkeys(COMPONENTS, SKIPPED),
             classification=Classification.NO_ACCESS,
             tot_strength=0.0,
             partial_info={},
@@ -294,28 +280,21 @@ def recall_word(
         masked = 1 - completeness
         episode_nets = {comp: episode_nets[comp].apply_mask(masked, rng) for comp in COMPONENTS}
 
-    outcomes = {comp: skipped_outcome() for comp in COMPONENTS}
+    outcomes = dict.fromkeys(COMPONENTS, SKIPPED)
     for i, comp in enumerate(COMPONENTS):
-        q_eff = effective_cue(params.cue_fraction[comp], params.link_gain if i else 0.0)
-        fixed_idx = None
-        if params.fixed_cue_per_episode:
-            k = floor_count(q_eff, episode_nets[comp].n)
-            fixed_idx = rng.choice(episode_nets[comp].n, size=k, replace=False)
         outcome = recall_component(
             episode_nets[comp],
             node.metamemory_ref[comp],
-            q_eff,
+            effective_cue(params.cue_fraction[comp], params.link_gain if i else 0.0),
             params.max_attempts,
             rng,
-            spike_ms=params.spike_ms,
-            interval_ms=params.interval_ms,
-            cue_indices=fixed_idx,
+            fixed_cue=params.fixed_cue_per_episode,
         )
         outcomes[comp] = outcome
         if not outcome.resolved:
             break
 
-    classification, tot_strength = classify_outcome(True, outcomes)
+    classification, tot_strength = classify_outcome(outcomes)
     phon = outcomes["phonological"]
     if phon.best_output is not None:
         partial = slot_match(
@@ -323,7 +302,6 @@ def recall_word(
         )
     else:
         partial = {name: False for name in node.slot_map.names()}
-    total_time = sum(outcomes[comp].elapsed_ms for comp in COMPONENTS)
     return RecallOutcome(
         word_id=node.id,
         selected=True,
@@ -332,5 +310,7 @@ def recall_word(
         classification=classification,
         tot_strength=tot_strength,
         partial_info=partial,
-        total_time_ms=total_time,
+        total_time_ms=sum(
+            chronometry(o.attempts, params.spike_ms, params.interval_ms) for o in outcomes.values()
+        ),
     )

@@ -21,8 +21,7 @@ def cue_sizes(monkeypatch):
     original = recall.generate_probe
 
     def generate_probe(reference, cue_indices, rng, *args):
-        cue = cue_indices if isinstance(cue_indices, np.ndarray) else list(cue_indices)
-        sizes.append(np.asarray(cue).shape[-1])
+        sizes.append(np.asarray(cue_indices).shape[-1])
         return original(reference, cue_indices, rng, *args)
 
     monkeypatch.setattr(recall, "generate_probe", generate_probe)

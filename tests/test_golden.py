@@ -42,6 +42,15 @@ a 2 x 2 sweep, in both formats. Its digests were taken before selection and
 generation were vectorized, so they show that both still consume the
 streams and rank the words exactly as the per-node loops did (its
 run_meta.json digests moved with the others for `interval_method`).
+
+No shipped config sets `fixed_cue_per_episode`, so `FIXED_CUE` pins one more
+bundle in both formats: delayed_resolution.json with a fixed cue per episode
+and a link gain of 0.2. Its semantic and lexical loops draw a fixed cue of
+all N units (1.0, and 1.0 + 0.2 capped at 1), its phonological loop one of
+floor((0.2 + 0.2) * 9) = 3. Its digests were taken while `recall_word`
+still drew each fixed cue and passed it to `recall_component`, so they show
+that `recall_component` drawing the cue itself consumes the stream at the
+same point.
 """
 
 import hashlib
@@ -177,10 +186,24 @@ GENERATED = {
     },
 }
 
+FIXED_CUE = {
+    "csv": {
+        "records.csv": "f091e20e16f5fbb12f6f28d19e1610c7cc5ddcb46a22076a0451cab8e834e496",
+        "run_meta.json": "87a07017180ce3753d5b59fb614dbc006c64b1a6352223344a0be2a9502b6482",
+        "summary.csv": "30665fc3c8571fbbb1a6a51abdb55c19a1b5313312a30757898aabc73a84fe0c",
+    },
+    "json": {
+        "records.json": "fc56f93ca12ad1b6460987606b1b6fab868e0e388a4768bcdeef8685092dd5f4",
+        "run_meta.json": "3c8a7a236a69cd36aa1ac6c9f9dbd28a5cda47653b7c7a24f0f9a6148b47e581",
+        "summary.json": "ce17bfa6480e31ca591e67f06288d5555fcab0234a2f8dd76af3849b70701b6f",
+    },
+}
 
-def bundle(name, tmp_path, fmt="csv"):
+
+def bundle(name, tmp_path, fmt="csv", recall=None):
     raw = json.loads((CONFIGS / name).read_text())
     raw["n_trials"] = N_TRIALS
+    raw["recall"].update(recall or {})
     return bundle_of(raw, tmp_path, fmt)
 
 
@@ -214,3 +237,9 @@ def test_json_output_bytes_are_pinned(name, tmp_path):
 @pytest.mark.parametrize("fmt", sorted(GENERATED))
 def test_generated_lexicon_bytes_are_pinned(fmt, tmp_path):
     assert bundle_of(GENERATED_CONFIG, tmp_path, fmt) == GENERATED[fmt]
+
+
+@pytest.mark.parametrize("fmt", sorted(FIXED_CUE))
+def test_fixed_cue_bytes_are_pinned(fmt, tmp_path):
+    fixed = {"fixed_cue_per_episode": True, "link_gain": 0.2}
+    assert bundle("delayed_resolution.json", tmp_path, fmt, fixed) == FIXED_CUE[fmt]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.random import SeedSequence, default_rng
 
+from totsim import recall
 from totsim.errors import DimensionError, ParameterError
 from totsim.lexicon import COMPONENTS, Lexicon, corrupt_metamemory
 from totsim.network import train
@@ -20,7 +21,6 @@ from totsim.recall import (
     is_strong,
     recall_component,
     recall_word,
-    skipped_outcome,
 )
 
 from helpers import explicit_word
@@ -129,11 +129,37 @@ class TestRecallComponent:
 
     def test_stop_correctness(self):
         net = train([P9])
-        rng = default_rng(SeedSequence(5))
-        out = recall_component(net, P9, 0.0, 64, rng)
+        out = recall_component(net, P9, 0.0, 64, default_rng(SeedSequence(5)))
         assert out.resolved
         assert np.array_equal(out.best_output, P9.units)
-        assert out.elapsed_ms == chronometry(out.attempts, 1.0, 10.0)
+        # The same stream cut one attempt short draws the same earlier
+        # probes, none of which matched: the loop stopped at the first match.
+        assert out.attempts > 1
+        short = recall_component(net, P9, 0.0, out.attempts - 1, default_rng(SeedSequence(5)))
+        assert not short.resolved
+        # A stopped loop costs the time of its attempts, not of the budget.
+        assert chronometry(out.attempts, 1.0, 10.0) < chronometry(64, 1.0, 10.0)
+
+    def test_fixed_cue_is_clamped_in_every_row(self, monkeypatch):
+        # An unreachable reference runs all 16 attempts, in chunks of 4.
+        monkeypatch.setattr(recall, "_ATTEMPT_CHUNK", 4)
+        blocks = []
+        original = recall.generate_probe
+
+        def generate_probe(ref_units, cue_indices, rng, rows):
+            probes = original(ref_units, cue_indices, rng, rows)
+            blocks.append((np.asarray(cue_indices), probes))
+            return probes
+
+        monkeypatch.setattr(recall, "generate_probe", generate_probe)
+        ref = P9.with_flipped([0])
+        out = recall_component(train([P9]), ref, 3 / 9, 16, default_rng(0), fixed_cue=True)
+        assert out.attempts == 16 and len(blocks) == 4
+        cue = blocks[0][0]
+        assert cue.shape == (3,) and len(set(cue.tolist())) == 3
+        for cues, probes in blocks:
+            assert np.array_equal(cues, cue)
+            assert (probes[:, cue] == ref.units[cue]).all()
 
     def test_parameter_validation(self):
         net = train([P9])
@@ -147,18 +173,14 @@ class TestRecallComponent:
 
 class TestClassifyOutcome:
     def resolved(self):
-        return ComponentOutcome(True, 1, 1.0, 1.0, P9)
+        return ComponentOutcome(True, 1, 1.0, P9.units)
 
     def unresolved(self, best=0.5):
-        return ComponentOutcome(False, 64, best, 694.0, P9)
+        return ComponentOutcome(False, 64, best, P9.units)
 
     def test_all_resolved(self):
         outcomes = {c: self.resolved() for c in COMPONENTS}
-        assert classify_outcome(True, outcomes) == (Classification.RESOLVED, 1.0)
-
-    def test_no_selection(self):
-        outcomes = {c: skipped_outcome() for c in COMPONENTS}
-        assert classify_outcome(False, outcomes) == (Classification.NO_ACCESS, 0.0)
+        assert classify_outcome(outcomes) == (Classification.RESOLVED, 1.0)
 
     def test_tot_strength_from_phonological_overlap(self):
         outcomes = {
@@ -166,7 +188,7 @@ class TestClassifyOutcome:
             "lexical": self.resolved(),
             "phonological": self.unresolved(best=7 / 9),
         }
-        classification, strength = classify_outcome(True, outcomes)
+        classification, strength = classify_outcome(outcomes)
         assert classification is Classification.TOT
         assert strength == 7 / 9
         assert is_strong(strength, 0.7)
@@ -178,7 +200,7 @@ class TestClassifyOutcome:
             "lexical": self.resolved(),
             "phonological": self.unresolved(best=-0.3),
         }
-        assert classify_outcome(True, outcomes) == (Classification.TOT, 0.0)
+        assert classify_outcome(outcomes) == (Classification.TOT, 0.0)
 
 
 class TestRecallWord:
@@ -264,12 +286,30 @@ class TestRecallWord:
         )
         a = recall_word(lex, P9, params, default_rng(SeedSequence(12)))
         b = recall_word(lex, P9, params, default_rng(SeedSequence(12)))
-        # Field by field: a best output is a unit row, compared by value.
-        assert replace(a, components={}) == replace(b, components={})
-        for comp in COMPONENTS:
-            x, y = a.components[comp], b.components[comp]
-            assert replace(x, best_output=None) == replace(y, best_output=None)
-            assert np.array_equal(x.best_output, y.best_output)
+        assert a == b
+        for comp in COMPONENTS:  # `==` leaves the best output rows out
+            assert np.array_equal(a.components[comp].best_output, b.components[comp].best_output)
+
+    @pytest.mark.parametrize("corrupt", [None, "semantic", "phonological"])
+    def test_fixed_cue_counts_once_per_component(self, monkeypatch, corrupt):
+        calls = []
+        original = recall.floor_count
+
+        def floor_count(fraction, total):
+            calls.append((fraction, total))
+            return original(fraction, total)
+
+        monkeypatch.setattr(recall, "floor_count", floor_count)
+        node = explicit_word("target", P9)
+        if corrupt:
+            node = corrupt_metamemory(node, corrupt, 1, default_rng(SeedSequence(15)))
+        params = RecallParams.with_uniform_cue(
+            3 / 9, max_attempts=16, fixed_cue_per_episode=True
+        )
+        out = recall_word(Lexicon((node,), 0.3), P9, params, default_rng(SeedSequence(16)))
+        reached = sum(out.components[c].attempts > 0 for c in COMPONENTS)
+        assert reached == (1 if corrupt == "semantic" else 3)
+        assert len(calls) == reached
 
     def test_partial_info_reported_from_best_output(self):
         node = explicit_word("target", P9, slots={"first_letter": (0, 1, 2)})
@@ -302,7 +342,22 @@ class TestRecallWord:
             out.selected and not out.components["phonological"].resolved
         )
         assert (out.classification is Classification.NO_ACCESS) == (not out.selected)
-        assert out.total_time_ms == sum(out.components[c].elapsed_ms for c in COMPONENTS)
+        assert out.total_time_ms == sum(
+            chronometry(out.components[c].attempts, 1.0, 10.0) for c in COMPONENTS
+        )
+
+
+class TestOutcomeEquality:
+    def test_same_seed_outcomes_compare_equal(self):
+        lex = single_word_lexicon()
+        params = RecallParams.with_uniform_cue(3 / 9, max_attempts=16)
+        a = recall_word(lex, P9, params, default_rng(SeedSequence(14)))
+        b = recall_word(lex, P9, params, default_rng(SeedSequence(14)))
+        assert a.components["phonological"].best_output is not None
+        assert (a == b) is True
+        phon = a.components["phonological"]
+        later = replace(phon, attempts=phon.attempts + 1)
+        assert a != replace(a, components={**a.components, "phonological": later})
 
 
 class TestRecallParams:

@@ -64,14 +64,17 @@ def _cmd_oracle(args) -> int:
     cfg, _ = parse_config(raw)
     if args.component not in COMPONENTS:
         raise ConfigError("component", f"must be one of {COMPONENTS}, got {args.component!r}")
+    if not cfg.lexicon.has_word(args.word):
+        raise ConfigError("word", f"unknown word id {args.word!r}")
+    n = cfg.lexicon.lengths[args.component]
+    if not 0 <= args.cue_size <= n:
+        raise ConfigError("cue-size", f"must be in [0, {n}], got {args.cue_size}")
     # The oracle evaluates the unswept base point: the damage plan at its
     # declared fractions, cue = the lowest cue_size unit indices.
     base_point = sweep_points(replace(cfg, sweep=None))[0]
     lex = damaged_lexicon(cfg, build_scenario_lexicon(cfg), base_point)
     node = lex.node_by_id(args.word)
     net = node.components[args.component]
-    if not 0 <= args.cue_size <= net.n:
-        raise ConfigError("cue-size", f"must be in [0, {net.n}], got {args.cue_size}")
     prob = exact_success_prob(
         net, node.metamemory_ref[args.component], range(args.cue_size)
     )

@@ -7,7 +7,7 @@ one-item list `[spec]` for a list of that item. The default is `_REQUIRED`,
 `_ABSENT` (an alternative or a sweep axis: the key stays out and the dataclass
 default stands), or a value read through the same spec when the key is
 absent, whose path then goes to `defaults_applied`. Keys are the dataclass
-field names, so `normalized_dict` is `asdict` with two fix-ups.
+field names, so `normalized_dict` is `asdict` with one fix-up.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
 
-from .errors import ConfigError, DimensionError, ParameterError
+from .errors import ConfigError, ParameterError
 from .experiment import (
     CorruptionEntry,
     DamagePlanEntry,
@@ -27,7 +27,7 @@ from .experiment import (
     SweepGrid,
 )
 from .lexicon import COMPONENTS, GeneratorSpec, LexiconSpec, WordSpec
-from .patterns import BipolarPattern, SlotMap
+from .patterns import BipolarPattern
 from .recall import RecallParams
 
 _MAX_SEED = 2**64 - 1
@@ -250,61 +250,16 @@ _SCENARIO = {
 
 
 def _lexicon(doc: dict) -> LexiconSpec:
-    if ("words" in doc) == ("generator" in doc):
-        raise ConfigError("lexicon", "declare exactly one of 'words' and 'generator'")
     if "words" in doc:
-        words = doc["words"]
-        if not words:
-            raise ConfigError("lexicon.words", "needs at least one word")
-        for i, word in enumerate(words):
-            for comp in COMPONENTS:
-                n, n0 = len(word[comp]), len(words[0][comp])
-                if n != n0:
-                    raise ConfigError(
-                        f"lexicon.words[{i}].{comp}", f"length {n} != length {n0} of word 0"
-                    )
-        ids = [word["id"] for word in words]
-        if len(set(ids)) != len(ids):
-            raise ConfigError("lexicon.words", "word ids must be unique")
-        doc["words"] = tuple(
-            WordSpec(id=word["id"], patterns={comp: word[comp] for comp in COMPONENTS})
-            for word in words
-        )
-        phon_length = len(words[0]["phonological"])
-    else:
+        doc["words"] = tuple(WordSpec(**word) for word in doc["words"])
+    if "generator" in doc:
         doc["generator"] = GeneratorSpec(**doc["generator"])
-        phon_length = doc["generator"].lengths["phonological"]
-    try:
-        SlotMap(phon_length, dict(doc["slots"]))
-    except (ParameterError, DimensionError) as exc:
-        raise ConfigError("lexicon.slots", str(exc)) from exc
     return LexiconSpec(**doc)
 
 
 def _check_word(lexicon: LexiconSpec, word_id: str, path: str) -> None:
-    if lexicon.words is not None:
-        known = any(w.id == word_id for w in lexicon.words)
-    else:
-        # Generated ids are w0 .. w{count-1}, decided by arithmetic so that
-        # no id string is built per word.
-        count = lexicon.generator.count
-        digits = word_id[1:]
-        known = (
-            word_id[:1] == "w"
-            and digits.isascii()
-            and digits.isdigit()
-            and (digits == "0" or digits[0] != "0")
-            and len(digits) <= len(str(count))
-            and int(digits) < count
-        )
-    if not known:
+    if not lexicon.has_word(word_id):
         raise ConfigError(path, f"unknown word id {word_id!r}")
-
-
-def _component_length(lexicon: LexiconSpec, component: str) -> int:
-    if lexicon.words is not None:
-        return len(lexicon.words[0].patterns[component])
-    return lexicon.generator.lengths[component]
 
 
 def _check_one_per_component(entries, path: str) -> None:
@@ -335,7 +290,7 @@ def _check_references(cfg: ScenarioConfig) -> None:
                 raise ConfigError(slots_path, f"unknown slot {name!r}")
     for i, entry in enumerate(cfg.metamemory_corruption):
         _check_word(lexicon, entry.word, f"metamemory_corruption[{i}].word")
-        n = _component_length(lexicon, entry.component)
+        n = lexicon.lengths[entry.component]
         if entry.flips > n:
             raise ConfigError(
                 f"metamemory_corruption[{i}].flips",
@@ -403,6 +358,4 @@ def normalized_dict(cfg: ScenarioConfig) -> dict:
     out = _plain(asdict(cfg))
     recall = out["recall"]
     recall["chronometry"] = {key: recall.pop(key) for key in _CHRONOMETRY}
-    for word in out["lexicon"].get("words", ()):
-        word.update(word.pop("patterns"))
     return out

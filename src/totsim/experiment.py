@@ -11,8 +11,8 @@ from fractions import Fraction
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
-from .errors import CapacityError, ConfigError, DimensionError, ParameterError
-from .lexicon import COMPONENTS, Lexicon, LexiconSpec, WordNode, corrupt_metamemory, word_nodes
+from .errors import CapacityError, DimensionError, ParameterError
+from .lexicon import COMPONENTS, Lexicon, LexiconSpec, corrupt_metamemory, word_nodes
 from .network import ComponentNetwork
 from .patterns import BipolarPattern, flip_by_rate
 from .recall import Classification, RecallOutcome, RecallParams, chronometry, is_strong, recall_word
@@ -203,15 +203,6 @@ def build_scenario_lexicon(cfg: ScenarioConfig) -> Lexicon:
     return Lexicon(tuple(nodes), cfg.lexicon.selection_threshold)
 
 
-def _slot_indices(node: WordNode, slot_names) -> list[int]:
-    indices: list[int] = []
-    for name in slot_names:
-        if name not in node.slot_map.slots:
-            raise ConfigError("damage.protected_slots", f"unknown slot {name!r}")
-        indices.extend(node.slot_map.slots[name])
-    return indices
-
-
 def damaged_lexicon(cfg: ScenarioConfig, lex: Lexicon, point: SweepPoint) -> Lexicon:
     """Apply the point's damage plan `point.damage` to the base lexicon.
 
@@ -225,9 +216,7 @@ def damaged_lexicon(cfg: ScenarioConfig, lex: Lexicon, point: SweepPoint) -> Lex
     nodes = {node.id: node for node in lex.nodes}
     for entry in sorted(point.damage, key=lambda e: (e.word, e.component)):
         node = nodes[entry.word]
-        protected = _slot_indices(node, entry.protected_slots) if (
-            entry.component == "phonological"
-        ) else []
+        protected = [i for name in entry.protected_slots for i in node.slot_map.slots[name]]
         components = dict(node.components)
         components[entry.component] = components[entry.component].damage(
             entry.fraction, rng, protected=protected
@@ -561,7 +550,8 @@ def validate_record_rows(
             bad(i, f"tot_strength {row['tot_strength']} outside [0, 1]")
         if not 0.0 <= row["sel_completeness"] <= 1.0:
             bad(i, f"sel_completeness {row['sel_completeness']} outside [0, 1]")
-        if any(a < 0 or a > max_attempts for a in atts):
+        counts_valid = all(0 <= a <= max_attempts for a in atts)
+        if not counts_valid:
             bad(i, f"attempt counts {atts} outside [0, {max_attempts}]")
         if atts[1] > 0 and atts[0] == 0:
             bad(i, "lexical attempted before semantic")
@@ -580,6 +570,8 @@ def validate_record_rows(
                 bad(i, "TOT row must have attempted the semantic component")
             if atts[2] not in (0, max_attempts):
                 bad(i, f"TOT phonological attempts {atts[2]} not 0 or max")
+        if not counts_valid:
+            continue  # no time can be recomputed from such counts
         expected = sum(chronometry(a, spike_ms, interval_ms) for a in atts)
         if f"{expected:.3f}" != f"{row['total_time_ms']:.3f}":
             bad(i, f"total_time_ms {row['total_time_ms']} != recomputed {expected}")

@@ -166,7 +166,9 @@ class WordSpec:
     """Explicit word declaration: one pattern per component."""
 
     id: str
-    patterns: dict[str, BipolarPattern]
+    semantic: BipolarPattern
+    lexical: BipolarPattern
+    phonological: BipolarPattern
 
 
 @dataclass(frozen=True)
@@ -181,7 +183,13 @@ class GeneratorSpec:
 
 @dataclass(frozen=True)
 class LexiconSpec:
-    """Declarative lexicon description: explicit words or a generator."""
+    """Declarative lexicon description: explicit words or a generator.
+
+    The one check of the lexicon's shape, raising ConfigError with the
+    field path. It derives `lengths` (one length per component) and
+    `slot_map` (the slot map over the phonological component) once; these
+    are not fields, so `==` and `asdict` see the declaration only.
+    """
 
     selection_threshold: float = 0.3
     words: tuple[WordSpec, ...] | None = None
@@ -190,7 +198,57 @@ class LexiconSpec:
 
     def __post_init__(self):
         if (self.words is None) == (self.generator is None):
-            raise ConfigError("lexicon", "declare exactly one of words/generator")
+            raise ConfigError("lexicon", "declare exactly one of 'words' and 'generator'")
+        if self.words is not None:
+            if not self.words:
+                raise ConfigError("lexicon.words", "needs at least one word")
+            lengths = {comp: len(getattr(self.words[0], comp)) for comp in COMPONENTS}
+            for i, word in enumerate(self.words):
+                for comp, n0 in lengths.items():
+                    n = len(getattr(word, comp))
+                    if n != n0:
+                        raise ConfigError(
+                            f"lexicon.words[{i}].{comp}", f"length {n} != length {n0} of word 0"
+                        )
+            ids = self.word_ids()
+            if len(set(ids)) != len(ids):
+                raise ConfigError("lexicon.words", "word ids must be unique")
+        else:
+            lengths = dict(self.generator.lengths)
+            minimum, shortest = self.generator.min_pairwise_distance, min(lengths.values())
+            if minimum > shortest:
+                raise ConfigError(
+                    "lexicon.generator.min_pairwise_distance",
+                    f"distance {minimum} exceeds the shortest component length {shortest}",
+                )
+        try:
+            slot_map = SlotMap(lengths["phonological"], dict(self.slots))
+        except (ParameterError, DimensionError) as exc:
+            raise ConfigError("lexicon.slots", str(exc)) from exc
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "slot_map", slot_map)
+
+    def word_ids(self) -> list[str]:
+        """The word ids in declaration order: w0, w1, ... when generated."""
+        if self.words is not None:
+            return [word.id for word in self.words]
+        return [f"w{i}" for i in range(self.generator.count)]
+
+    def has_word(self, word_id: str) -> bool:
+        if self.words is not None:
+            return any(word.id == word_id for word in self.words)
+        # Generated ids are w0 .. w{count-1}, decided by arithmetic so that
+        # no id string is built per word.
+        count = self.generator.count
+        digits = word_id[1:]
+        return (
+            word_id[:1] == "w"
+            and digits.isascii()
+            and digits.isdigit()
+            and (digits == "0" or digits[0] != "0")
+            and len(digits) <= len(str(count))
+            and int(digits) < count
+        )
 
 
 def _generated_patterns(
@@ -198,10 +256,6 @@ def _generated_patterns(
 ) -> list[BipolarPattern]:
     n = gen.lengths[component]
     minimum = gen.min_pairwise_distance
-    if minimum > n:
-        raise GenerationError(
-            f"min pairwise distance {minimum} impossible at {component} length {n}"
-        )
     # A candidate is placed when its overlap with every accepted word is at
     # most n - 2 * minimum, i.e. its Hamming distance is at least `minimum`.
     limit = n - 2 * minimum
@@ -230,20 +284,15 @@ def word_nodes(spec: LexiconSpec, rng: np.random.Generator) -> tuple[WordNode, .
     GenerationError rather than relaxing the constraint.
     """
     if spec.words is not None:
-        word_ids = [w.id for w in spec.words]
         per_component = {
-            comp: [w.patterns[comp] for w in spec.words] for comp in COMPONENTS
+            comp: [getattr(w, comp) for w in spec.words] for comp in COMPONENTS
         }
     else:
-        gen = spec.generator
-        word_ids = [f"w{i}" for i in range(gen.count)]
         per_component = {
-            comp: _generated_patterns(gen, comp, rng) for comp in COMPONENTS
+            comp: _generated_patterns(spec.generator, comp, rng) for comp in COMPONENTS
         }
-    phon_length = len(per_component["phonological"][0])
-    slot_map = SlotMap(phon_length, dict(spec.slots))
     nodes = []
-    for i, word_id in enumerate(word_ids):
+    for i, word_id in enumerate(spec.word_ids()):
         truth = {comp: per_component[comp][i] for comp in COMPONENTS}
         nodes.append(
             WordNode(
@@ -251,7 +300,7 @@ def word_nodes(spec: LexiconSpec, rng: np.random.Generator) -> tuple[WordNode, .
                 components={comp: train([truth[comp]]) for comp in COMPONENTS},
                 truth=truth,
                 metamemory_ref=dict(truth),
-                slot_map=slot_map,
+                slot_map=spec.slot_map,
             )
         )
     return tuple(nodes)

@@ -40,18 +40,12 @@ class BipolarPattern:
     def __len__(self) -> int:
         return self._units.size
 
-    def __getitem__(self, i: int) -> int:
-        return int(self._units[i])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BipolarPattern):
             return NotImplemented
         return self._units.shape == other._units.shape and bool(
             np.all(self._units == other._units)
         )
-
-    def __hash__(self) -> int:
-        return hash(self._units.tobytes())
 
     def __repr__(self) -> str:
         return f"BipolarPattern({self.to_text()!r})"

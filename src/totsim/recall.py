@@ -4,11 +4,13 @@ classification, and attempt-based chronometry."""
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -55,14 +57,14 @@ class RecallParams:
         for comp, q in self.cue_fraction.items():
             if not 0.0 <= q <= 1.0:
                 raise ParameterError(f"cue fraction for {comp} must be in [0, 1], got {q}")
-        if self.max_attempts < 1:
-            raise ParameterError("max_attempts must be >= 1")
+        if not isinstance(self.max_attempts, Integral) or self.max_attempts < 1:
+            raise ParameterError(f"max_attempts must be an integer >= 1, got {self.max_attempts}")
         if not 0.0 <= self.link_gain <= 1.0:
             raise ParameterError(f"link gain must be in [0, 1], got {self.link_gain}")
-        if self.spike_ms <= 0:
-            raise ParameterError(f"spike_ms must be > 0, got {self.spike_ms}")
-        if self.interval_ms < 0:
-            raise ParameterError(f"interval_ms must be >= 0, got {self.interval_ms}")
+        if not 0 < self.spike_ms < math.inf:
+            raise ParameterError(f"spike_ms must be finite and > 0, got {self.spike_ms}")
+        if not 0 <= self.interval_ms < math.inf:
+            raise ParameterError(f"interval_ms must be finite and >= 0, got {self.interval_ms}")
         if not 0.0 < self.strength_threshold < 1.0:
             raise ParameterError(
                 f"strength threshold must be in (0, 1), got {self.strength_threshold}"

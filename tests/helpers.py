@@ -15,7 +15,7 @@ from totsim.patterns import BipolarPattern, SlotMap, exact_fraction, random_patt
 
 def word_spec(word_id, text):
     p = BipolarPattern.from_text(text)
-    return WordSpec(id=word_id, patterns={c: p for c in COMPONENTS})
+    return WordSpec(id=word_id, semantic=p, lexical=p, phonological=p)
 
 
 def hamming(a, b):

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from totsim import cli
 from totsim.cli import main
 from totsim.output import RECORDS_HEADER
 
@@ -182,6 +185,22 @@ class TestOracle:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "word, cue_size, path", [("pear", "0", "word"), ("apple", "10", "cue-size")]
+    )
+    def test_bad_query_rejected_before_building(
+        self, tmp_path, capsys, monkeypatch, word, cue_size, path
+    ):
+        built = []
+        monkeypatch.setattr(cli, "build_scenario_lexicon", lambda cfg: built.append(cfg))
+        cfg = write_config(tmp_path, minimal_raw())
+        code = main(
+            ["oracle", "--config", cfg, "--word", word, "--component", "semantic", "--cue-size", cue_size]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path}:")
+        assert built == []
+
     def test_unknown_component_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, minimal_raw())
         code = main(
@@ -248,6 +267,22 @@ class TestValidate:
         cfg = write_config(tmp_path, minimal_raw(bogus=1))
         assert main(["validate", "--config", cfg]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_impossible_distance_exits_2(self, tmp_path, capsys):
+        raw = {
+            "seed": 3,
+            "lexicon": {
+                "generator": {
+                    "count": 3,
+                    "lengths": {"semantic": 9, "lexical": 9, "phonological": 9},
+                    "min_pairwise_distance": 10,
+                }
+            },
+            "target": "w0",
+        }
+        cfg = write_config(tmp_path, raw)
+        assert main(["validate", "--config", cfg]) == 2
+        assert "lexicon.generator.min_pairwise_distance" in capsys.readouterr().err
 
     def test_bad_pattern_chars_exit_2(self, tmp_path, capsys):
         raw = minimal_raw()

@@ -7,8 +7,9 @@ import pytest
 
 from totsim.config import load_raw_config, normalized_dict, parse_config
 from totsim.errors import ConfigError
-from totsim.experiment import materialize_bonuses
+from totsim.experiment import build_scenario_lexicon, materialize_bonuses
 from totsim.lexicon import COMPONENTS
+from totsim.patterns import SlotMap
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -443,6 +444,26 @@ class TestGeneratedWordIds:
         with pytest.raises(ConfigError) as e:
             parse_config(generated_raw(1000, target=word_id))
         assert path_of(e) == "target"
+
+
+class TestLexiconShape:
+    def test_impossible_distance_rejected_at_parse_time(self):
+        raw = generated_raw(3)
+        raw["lexicon"]["generator"]["min_pairwise_distance"] = 10
+        with pytest.raises(ConfigError) as e:
+            parse_config(raw)
+        assert path_of(e) == "lexicon.generator.min_pairwise_distance"
+
+    def test_slot_map_is_built_once(self, monkeypatch):
+        built = []
+        real = SlotMap.__post_init__
+        monkeypatch.setattr(SlotMap, "__post_init__", lambda m: built.append(1) or real(m))
+        raw = minimal_raw()
+        raw["lexicon"]["slots"] = {"first_letter": [0, 1, 2]}
+        cfg, _ = parse_config(raw)
+        lex = build_scenario_lexicon(cfg)
+        assert len(built) == 1
+        assert lex.node_by_id("apple").slot_map is cfg.lexicon.slot_map
 
 
 # A generated lexicon with every optional table in use: slots, protected

@@ -525,6 +525,12 @@ class TestValidator:
         flagged = {p.split(":")[0] for p in problems}
         assert flagged == {"row 0", "row 1", "row 2"}
 
+    def test_negative_attempt_count_reported(self, tmp_path):
+        rows = self.make_rows(tmp_path)
+        rows[0]["att_sem"] = -1
+        problems = validate_record_rows(rows, max_attempts=6, spike_ms=1.0, interval_ms=10.0)
+        assert any(p.startswith("row 0: attempt counts") for p in problems)
+
 
 class TestScenarioLexicon:
     def test_corruption_applied_via_keyed_stream(self):

@@ -110,9 +110,40 @@ class TestBuildLexicon:
                 generator=GeneratorSpec(count=1, lengths={c: 3 for c in COMPONENTS}),
             )
 
+    def test_mixed_lengths_rejected_by_the_spec(self):
+        with pytest.raises(ConfigError) as e:
+            LexiconSpec(words=(word_spec("a", "+++"), word_spec("b", "++++")))
+        assert e.value.path == "lexicon.words[1].semantic"
+
     def test_mixed_lengths_rejected(self):
+        a = explicit_word("a", BipolarPattern.from_text("+++"))
+        b = explicit_word("b", BipolarPattern.from_text("++++"))
         with pytest.raises(DimensionError):
-            explicit_lexicon(word_spec("a", "+++"), word_spec("b", "++++"))
+            Lexicon((a, b), 0.3)
+
+    def test_impossible_distance_rejected_by_the_spec(self):
+        lengths = {"semantic": 12, "lexical": 9, "phonological": 15}
+        with pytest.raises(ConfigError) as e:
+            LexiconSpec(generator=GeneratorSpec(2, lengths, min_pairwise_distance=10))
+        assert e.value.path == "lexicon.generator.min_pairwise_distance"
+        # A distance equal to the shortest length is possible (complements).
+        LexiconSpec(generator=GeneratorSpec(2, lengths, min_pairwise_distance=9))
+
+    def test_spec_derives_lengths_ids_and_slot_map(self):
+        spec = LexiconSpec(
+            generator=GeneratorSpec(3, {"semantic": 12, "lexical": 9, "phonological": 15}),
+            slots={"first_letter": (2, 0, 1)},
+        )
+        assert spec.lengths == {"semantic": 12, "lexical": 9, "phonological": 15}
+        assert spec.word_ids() == ["w0", "w1", "w2"]
+        assert spec.slot_map.length == 15
+        assert spec.slot_map.slots == {"first_letter": (0, 1, 2)}
+        nodes = word_nodes(spec, default_rng(0))
+        assert all(node.slot_map is spec.slot_map for node in nodes)
+        explicit = LexiconSpec(words=(word_spec("b", "+-+"), word_spec("a", "---")))
+        assert explicit.word_ids() == ["b", "a"]
+        assert explicit.has_word("a") and not explicit.has_word("w0")
+        assert explicit.lengths == dict.fromkeys(COMPONENTS, 3)
 
 
 class TestSelectNode:

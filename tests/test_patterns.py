@@ -82,7 +82,7 @@ class TestRandomPattern:
 
     def test_length_one(self):
         p = random_pattern(1, default_rng(0))
-        assert len(p) == 1 and p[0] in (1, -1)
+        assert len(p) == 1 and p.units[0] in (1, -1)
 
     def test_zero_length_rejected(self):
         with pytest.raises(ParameterError):

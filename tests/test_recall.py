@@ -372,3 +372,17 @@ class TestRecallParams:
             RecallParams.with_uniform_cue(0.5, strength_threshold=1.0)
         with pytest.raises(ParameterError):
             RecallParams(cue_fraction={"semantic": 0.5})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("spike_ms", float("nan")),
+            ("spike_ms", float("inf")),
+            ("interval_ms", float("nan")),
+            ("interval_ms", float("inf")),
+            ("max_attempts", 2.5),
+        ],
+    )
+    def test_values_json_cannot_carry_rejected(self, field, value):
+        with pytest.raises(ParameterError):
+            RecallParams.with_uniform_cue(0.5, **{field: value})

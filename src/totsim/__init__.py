@@ -6,8 +6,8 @@ lexical, phonological) over bipolar spike patterns. Recall runs in three
 stages: threshold selection of a word node from semantic input, stochastic
 free/cued one-pass retrieval, and a metamemory comparator that stops the
 attempt loop on an exact match. An experiment harness sweeps cue intensity,
-damage, and input quality, and an exhaustive enumeration oracle validates
-the stochastic engine exactly.
+damage, and input quality, and an exact oracle (closed form or split sums
+over the free units) validates the stochastic engine.
 """
 
 __version__ = "0.1.0"

@@ -79,6 +79,8 @@ class Lexicon:
             raise ParameterError(
                 f"selection threshold must be in (0, 1], got {self.selection_threshold}"
             )
+        if not self.nodes:
+            raise ConfigError("lexicon", "lexicon has no word nodes")
         ids = [node.id for node in self.nodes]
         if len(set(ids)) != len(ids):
             raise ConfigError("lexicon", "word ids must be unique")
@@ -96,8 +98,7 @@ class Lexicon:
         object.__setattr__(self, "_threshold", threshold)
         # An unprimed node clears the threshold t iff overlap / N >= t,
         # that is iff its integer overlap is at least ceil(t * N).
-        n = semantic.shape[1] if by_id else 0
-        object.__setattr__(self, "_min_overlap", math.ceil(threshold * n))
+        object.__setattr__(self, "_min_overlap", math.ceil(threshold * semantic.shape[1]))
 
     def node_by_id(self, word_id: str) -> WordNode:
         row = self._row.get(word_id)
@@ -123,8 +124,6 @@ class Lexicon:
         that overlap reaches the precomputed integer `_min_overlap`. Only
         primed nodes are scored one by one.
         """
-        if not self.nodes:
-            raise ConfigError("lexicon", "lexicon has no word nodes")
         n = self._semantic.shape[1]
         if len(semantic_input) != n:
             raise DimensionError(

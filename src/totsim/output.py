@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 from dataclasses import asdict
 from operator import attrgetter
 from pathlib import Path
@@ -72,15 +72,14 @@ _RECORD_CELLS = tuple((_cell_getter(name), fmt) for name, _, fmt in RECORD_COLUM
 
 
 def _atomic_write(path, text: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    path = Path(path)  # mode "x" creates the file as open(path, "w") would
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with open(tmp, "x") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

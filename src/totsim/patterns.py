@@ -3,7 +3,6 @@ slot segmentation, and deterministic pattern generation."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -148,12 +147,13 @@ def exact_fraction(x) -> Fraction:
     return Fraction(x).limit_denominator(_MAX_DENOMINATOR)
 
 
-@lru_cache(maxsize=4096)
 def floor_count(fraction, total: int) -> int:
-    """floor(fraction * total) in exact arithmetic: how many of `total`
-    units (or weight pairs) a fraction selects. Float floors undercount,
-    e.g. 0.7 * 90 is 62.99999999999999."""
-    return math.floor(exact_fraction(fraction) * total)
+    """floor(fraction * total) in integer arithmetic on the exact fraction
+    (see `exact_fraction`): how many of `total` units or weight pairs a
+    fraction selects. A float floor undercounts 0.7 * 90 as 62."""
+    if not isinstance(fraction, Fraction):
+        fraction = exact_fraction(fraction)
+    return fraction.numerator * total // fraction.denominator
 
 
 def flip_by_rate(p: BipolarPattern, rate: float, rng: np.random.Generator) -> BipolarPattern:

@@ -9,7 +9,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
@@ -41,6 +40,11 @@ class RecallParams:
     attempts are separated by `interval_ms`. `strength_threshold` labels a
     TOT strong. With `fixed_cue_per_episode` the cue indices are drawn once
     per component per episode instead of per attempt.
+
+    The derived `cue` (not a field, so `==`, `asdict` and `replace` see the
+    declaration only) maps each component to its exact cue fraction: q for
+    the first, min(1, q + link_gain) for each later one, which follows a
+    resolved component (see `exact_fraction`: 0.5 + 0.2 is exactly 7/10).
     """
 
     cue_fraction: dict[str, float]
@@ -69,6 +73,11 @@ class RecallParams:
             raise ParameterError(
                 f"strength threshold must be in (0, 1), got {self.strength_threshold}"
             )
+        gain = exact_fraction(self.link_gain)
+        cue = {comp: exact_fraction(self.cue_fraction[comp]) for comp in COMPONENTS}
+        for comp in COMPONENTS[1:]:
+            cue[comp] = min(Fraction(1), cue[comp] + gain)
+        object.__setattr__(self, "cue", cue)
 
     @classmethod
     def with_uniform_cue(cls, q: float, **kwargs) -> "RecallParams":
@@ -163,7 +172,7 @@ def _per_row_cues(rng: np.random.Generator, rows: int, n: int, k: int) -> np.nda
 def recall_component(
     net: ComponentNetwork,
     reference: BipolarPattern,
-    q: float | Fraction,
+    cue_size: int,
     max_attempts: int,
     rng: np.random.Generator,
     *,
@@ -172,10 +181,10 @@ def recall_component(
     """Attempt loop for one component: probe, retrieve once, compare, repeat.
 
     Stops at the first exact match against `reference` or after
-    `max_attempts`. k = floor(q * N) cue indices (exact, see `floor_count`)
-    are redrawn uniformly per attempt, or, with `fixed_cue`, drawn once
-    before the first attempt (`rng.choice(N, k, replace=False)`, also when
-    k is 0 or N) and clamped in every attempt.
+    `max_attempts`. k = `cue_size` cue indices, an integer in [0, N], are
+    redrawn uniformly per attempt, or, with `fixed_cue`, drawn once before
+    the first attempt (`rng.choice(N, k, replace=False)`, also when k is 0
+    or N) and clamped in every attempt.
 
     No attempt depends on an earlier one apart from the stop rule, so the
     attempts run in chunks of up to `_ATTEMPT_CHUNK`: per chunk, one key
@@ -188,12 +197,11 @@ def recall_component(
         raise DimensionError(
             f"reference length {len(reference)} != network size {net.n}"
         )
-    if not 0 <= q <= 1:
-        raise ParameterError(f"cue fraction must be in [0, 1], got {q}")
-    if max_attempts < 1:
-        raise ParameterError("max_attempts must be >= 1")
-    n, ref = net.n, reference.units
-    k = floor_count(q, n)
+    n, ref, k = net.n, reference.units, cue_size
+    if not isinstance(k, Integral) or not 0 <= k <= n:
+        raise ParameterError(f"cue_size must be an integer in [0, {n}], got {k}")
+    if not isinstance(max_attempts, Integral) or max_attempts < 1:
+        raise ParameterError(f"max_attempts must be an integer >= 1, got {max_attempts}")
     if fixed_cue:
         cue = rng.choice(n, size=k, replace=False)
     elif k in (0, n):
@@ -235,13 +243,6 @@ def is_strong(tot_strength: float, strength_threshold: float) -> bool:
     return tot_strength >= strength_threshold
 
 
-@lru_cache(maxsize=1024)
-def effective_cue(q: float, gain: float) -> Fraction:
-    """A component's cue fraction min(1, q + gain) in exact arithmetic
-    (see `exact_fraction`), so 0.5 + 0.2 is exactly 7/10."""
-    return min(Fraction(1), exact_fraction(q) + exact_fraction(gain))
-
-
 def recall_word(
     lex: Lexicon,
     semantic_input: BipolarPattern,
@@ -258,11 +259,10 @@ def recall_word(
     semantic, lexical, phonological, and the cascade stops at the first
     component that fails to resolve (later components count as
     unattempted), so Resolved means all three resolved and a selected word
-    whose phonological form did not resolve is a TOT. Every component the
-    cascade reaches after the first therefore follows a resolved one and
-    gets cue fraction min(1, q + link_gain), summed exactly (see
-    `effective_cue`); the first gets q. The episode's time is the sum over
-    components, in cascade order, of `chronometry` of their attempts.
+    whose phonological form did not resolve is a TOT. Each component runs
+    with floor(cue * n) cue units (see `floor_count`), where cue is its
+    exact `params.cue`. The episode's time is the sum over components, in
+    cascade order, of `chronometry` of their attempts.
     """
     selection = lex.select_node(semantic_input, bonuses)
     if selection is None:
@@ -278,16 +278,16 @@ def recall_word(
         )
     node, completeness = selection
     episode_nets = node.components
-    if completeness < 1:
+    if completeness != 1:
         masked = 1 - completeness
         episode_nets = {comp: episode_nets[comp].apply_mask(masked, rng) for comp in COMPONENTS}
 
     outcomes = dict.fromkeys(COMPONENTS, SKIPPED)
-    for i, comp in enumerate(COMPONENTS):
+    for comp in COMPONENTS:
         outcome = recall_component(
             episode_nets[comp],
             node.metamemory_ref[comp],
-            effective_cue(params.cue_fraction[comp], params.link_gain if i else 0.0),
+            floor_count(params.cue[comp], episode_nets[comp].n),
             params.max_attempts,
             rng,
             fixed_cue=params.fixed_cue_per_episode,

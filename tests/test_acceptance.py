@@ -60,7 +60,7 @@ def test_criterion_02_free_recall_law_vs_oracle():
         ok &= exact_success_prob(net, p, []) == Fraction(1, 2)
         rng = default_rng(SeedSequence(300 + n))
         freq = np.mean(
-            [recall_component(net, p, 0.0, 1, rng).resolved for _ in range(10000)]
+            [recall_component(net, p, 0, 1, rng).resolved for _ in range(10000)]
         )
         ok &= abs(freq - 0.5) <= 0.02
     _verdict(2, "free recall success is exactly 1/2 (oracle) and 0.5 +/- 0.02 (Monte Carlo)", ok)
@@ -71,7 +71,7 @@ def test_criterion_03_cued_recall_exact_value():
     exact = exact_success_prob(net, P9, range(3))
     rng = default_rng(SeedSequence(42))
     freq = np.mean(
-        [recall_component(net, P9, 3 / 9, 1, rng).resolved for _ in range(10000)]
+        [recall_component(net, P9, 3, 1, rng).resolved for _ in range(10000)]
     )
     ok = exact == Fraction(57, 64) and abs(freq - 0.890625) <= 0.02
     _verdict(3, "cue 3 of 9 gives exactly 57/64, Monte Carlo within 0.02", ok)
@@ -80,7 +80,7 @@ def test_criterion_03_cued_recall_exact_value():
 def test_criterion_04_guarantee_law():
     net = train([P9])
     rng = default_rng(SeedSequence(404))
-    outcomes = [recall_component(net, P9, 5 / 9, 64, rng) for _ in range(1000)]
+    outcomes = [recall_component(net, P9, 5, 64, rng) for _ in range(1000)]
     ok = all(o.resolved and o.attempts == 1 for o in outcomes)
     ok &= exact_success_prob(net, P9, range(5)) == Fraction(1)
     _verdict(4, "cue 5 of 9 resolves on the first attempt, 1000/1000, oracle probability 1", ok)
@@ -108,7 +108,7 @@ def test_criterion_07_geometric_attempts():
     net = train([P9])
     rng = default_rng(SeedSequence(707))
     attempts = np.array(
-        [recall_component(net, P9, 0.0, 64, rng).attempts for _ in range(10000)]
+        [recall_component(net, P9, 0, 64, rng).attempts for _ in range(10000)]
     )
     mean = attempts.mean()
     ks = np.arange(1, 65)
@@ -149,7 +149,7 @@ def test_criterion_08_chronometry():
 def test_criterion_09_illusory_tot():
     net = train([P9])
     ref = P9.with_flipped([0])
-    outcome = recall_component(net, ref, 0.0, 10000, default_rng(SeedSequence(909)))
+    outcome = recall_component(net, ref, 0, 10000, default_rng(SeedSequence(909)))
     ok = not outcome.resolved and outcome.attempts == 10000
     ok &= outcome.best_overlap_frac == 7 / 9
 

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 
@@ -105,6 +107,20 @@ class TestSimulate:
         assert len(payload["records"]) == 20
         assert payload["records"][0]["classification"] == "Resolved"
         assert (out / "summary.json").exists()
+
+    def test_bundle_files_get_the_mode_of_a_plain_file(self, tmp_path):
+        cfg = write_config(tmp_path, minimal_raw())
+        out = tmp_path / "out"
+        umask = os.umask(0o022)  # a umask that lets others read a new file
+        try:
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+            with open(out / "plain", "w"):
+                pass
+        finally:
+            os.umask(umask)
+        modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in out.iterdir()}
+        plain = modes.pop("plain")
+        assert modes == dict.fromkeys(["records.csv", "run_meta.json", "summary.csv"], plain)
 
     def test_invalid_config_exits_2_with_field_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path, minimal_raw(recall={"cue_fraction": 1.5}))

@@ -99,7 +99,7 @@ def test_stop_attempt_and_best_output_follow_the_rows(net, cue_tenths, max_attem
             ref = net.stored[0].units.copy()
             ref[sorted(net.mask)] = 1
             reference = BipolarPattern(ref)
-        out = recall_component(net, reference, cue_tenths / 10, max_attempts, rng)
+        out = recall_component(net, reference, cue_tenths * net.n // 10, max_attempts, rng)
     rows = spy.rows()
     assert len(rows) >= out.attempts
     ref = reference.units
@@ -130,7 +130,7 @@ def test_match_in_second_chunk(monkeypatch):
 
     monkeypatch.setattr(recall, "compare", compare)
     unreachable = P9.with_flipped([0])
-    out = recall_component(train([P9]), unreachable, 0.0, 3 * chunk, default_rng(1))
+    out = recall_component(train([P9]), unreachable, 0, 3 * chunk, default_rng(1))
     assert seen == [chunk, chunk]
     assert out.resolved and out.attempts == target + 1
     assert np.array_equal(out.best_output, spy.rows()[target])
@@ -140,7 +140,7 @@ def test_long_unreachable_loop_stays_in_bounded_memory():
     net = train([P9])
     tracemalloc.start()
     try:
-        out = recall_component(net, P9.with_flipped([0]), 0.0, 10**6, default_rng(2))
+        out = recall_component(net, P9.with_flipped([0]), 0, 10**6, default_rng(2))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

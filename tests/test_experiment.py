@@ -383,7 +383,7 @@ class TestExactSuccessProb:
         rng = default_rng(SeedSequence(34))
         trials = 5000
         hits = sum(
-            recall_component(net, P9, 0.0, 1, rng).resolved for _ in range(trials)
+            recall_component(net, P9, 0, 1, rng).resolved for _ in range(trials)
         )
         se = (exact * (1 - exact) / trials) ** 0.5
         assert abs(hits / trials - exact) < 3 * se

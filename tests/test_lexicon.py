@@ -280,9 +280,9 @@ class TestSelectNode:
             lex.selection_threshold = 0.9
 
     def test_empty_lexicon_rejected(self):
-        lex = Lexicon((), 0.3)
-        with pytest.raises(ConfigError):
-            lex.select_node(BipolarPattern([1, 1]))
+        with pytest.raises(ConfigError) as err:
+            Lexicon((), 0.3)
+        assert err.value.path == "lexicon"
 
     def test_length_mismatch_rejected(self):
         lex = explicit_lexicon(word_spec("a", "+++"))

@@ -1,10 +1,11 @@
-"""The README's library quickstart runs as written against the package's
-top-level exports, and its scenario table lists the shipped configs."""
+"""The README's library quickstart and CLI examples run as written against
+the package, and its scenario table lists the shipped configs."""
 
 import re
+import shlex
 from pathlib import Path
 
-from totsim import scenarios
+from totsim import cli, scenarios
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,3 +27,23 @@ def test_quickstart_runs(capsys):
 def test_scenario_table_lists_the_shipped_scenarios():
     section = README.read_text().split("## Scenario library", 1)[1].split("\n## ", 1)[0]
     assert re.findall(r"^\| `(\w+)` \|", section, re.M) == scenarios.names()
+
+
+def cli_examples() -> dict[str, list[str]]:
+    """The README's `totsim <command> ...` lines as argument lists, by command."""
+    section = README.read_text().split("## CLI", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    argvs = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("totsim ")]
+    return {argv[0]: argv for argv in argvs}
+
+
+def test_cli_examples_run(monkeypatch, capsys):
+    monkeypatch.chdir(README.parent)  # the examples name configs/ relative to the checkout
+    examples = cli_examples()
+    assert cli.main(examples["validate"]) == 0
+    capsys.readouterr()
+    assert cli.main(examples["oracle"]) == 0
+    # The oracle bullet quotes what the oracle example prints.
+    quoted = re.search(r"e\.g\. `(\d+/\d+ = [\d.]+)`", README.read_text()).group(1)
+    assert quoted == "57/64 = 0.890625"
+    assert capsys.readouterr().out.strip() == quoted

@@ -1,4 +1,5 @@
-from dataclasses import replace
+from dataclasses import asdict, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,20 +109,20 @@ class TestRecallComponent:
     def test_majority_cue_resolves_first_attempt(self):
         net = train([P9])
         for seed in range(20):
-            out = recall_component(net, P9, 5 / 9, 64, default_rng(SeedSequence(seed)))
+            out = recall_component(net, P9, 5, 64, default_rng(SeedSequence(seed)))
             assert out.resolved and out.attempts == 1 and out.best_overlap_frac == 1.0
 
     def test_free_recall_attempts_are_geometric(self):
         net = train([P9])
         rng = default_rng(SeedSequence(3))
-        attempts = [recall_component(net, P9, 0.0, 64, rng).attempts for _ in range(2000)]
+        attempts = [recall_component(net, P9, 0, 64, rng).attempts for _ in range(2000)]
         assert 1.85 <= np.mean(attempts) <= 2.15
 
     def test_corrupt_reference_never_resolves(self):
         # Outputs are always +/-p, so a reference one flip away is unreachable.
         net = train([P9])
         ref = P9.with_flipped([0])
-        out = recall_component(net, ref, 0.0, 200, default_rng(SeedSequence(4)))
+        out = recall_component(net, ref, 0, 200, default_rng(SeedSequence(4)))
         assert not out.resolved
         assert out.attempts == 200
         assert out.best_overlap_frac == 7 / 9
@@ -129,13 +130,13 @@ class TestRecallComponent:
 
     def test_stop_correctness(self):
         net = train([P9])
-        out = recall_component(net, P9, 0.0, 64, default_rng(SeedSequence(5)))
+        out = recall_component(net, P9, 0, 64, default_rng(SeedSequence(5)))
         assert out.resolved
         assert np.array_equal(out.best_output, P9.units)
         # The same stream cut one attempt short draws the same earlier
         # probes, none of which matched: the loop stopped at the first match.
         assert out.attempts > 1
-        short = recall_component(net, P9, 0.0, out.attempts - 1, default_rng(SeedSequence(5)))
+        short = recall_component(net, P9, 0, out.attempts - 1, default_rng(SeedSequence(5)))
         assert not short.resolved
         # A stopped loop costs the time of its attempts, not of the budget.
         assert chronometry(out.attempts, 1.0, 10.0) < chronometry(64, 1.0, 10.0)
@@ -153,7 +154,7 @@ class TestRecallComponent:
 
         monkeypatch.setattr(recall, "generate_probe", generate_probe)
         ref = P9.with_flipped([0])
-        out = recall_component(train([P9]), ref, 3 / 9, 16, default_rng(0), fixed_cue=True)
+        out = recall_component(train([P9]), ref, 3, 16, default_rng(0), fixed_cue=True)
         assert out.attempts == 16 and len(blocks) == 4
         cue = blocks[0][0]
         assert cue.shape == (3,) and len(set(cue.tolist())) == 3
@@ -163,12 +164,14 @@ class TestRecallComponent:
 
     def test_parameter_validation(self):
         net = train([P9])
-        with pytest.raises(ParameterError):
-            recall_component(net, P9, 1.5, 64, default_rng(0))
-        with pytest.raises(ParameterError):
-            recall_component(net, P9, 0.5, 0, default_rng(0))
+        for cue_size in (-1, 10, 4.0, 4.5):  # outside [0, 9], or not an integer
+            with pytest.raises(ParameterError):
+                recall_component(net, P9, cue_size, 64, default_rng(0))
+        for max_attempts in (0, 2.5):
+            with pytest.raises(ParameterError):
+                recall_component(net, P9, 4, max_attempts, default_rng(0))
         with pytest.raises(DimensionError):
-            recall_component(net, BipolarPattern([1, 1]), 0.5, 4, default_rng(0))
+            recall_component(net, BipolarPattern([1, 1]), 1, 4, default_rng(0))
 
 
 class TestClassifyOutcome:
@@ -372,6 +375,20 @@ class TestRecallParams:
             RecallParams.with_uniform_cue(0.5, strength_threshold=1.0)
         with pytest.raises(ParameterError):
             RecallParams(cue_fraction={"semantic": 0.5})
+
+    def test_cue_is_derived_once_outside_the_fields(self):
+        params = RecallParams(
+            cue_fraction={"semantic": 0.5, "lexical": 0.5, "phonological": 0.9},
+            link_gain=0.2,
+        )
+        # The first component gets its q; later ones min(1, q + gain), exactly.
+        assert params.cue == {
+            "semantic": Fraction(1, 2),
+            "lexical": Fraction(7, 10),
+            "phonological": Fraction(1),
+        }
+        assert "cue" not in asdict(params)
+        assert replace(params, link_gain=0.0).cue["lexical"] == Fraction(1, 2)
 
     @pytest.mark.parametrize(
         "field, value",

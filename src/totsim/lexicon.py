@@ -12,7 +12,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ConfigError, DimensionError, GenerationError, ParameterError
-from .network import ComponentNetwork, train
+from .network import ComponentNetwork, train_each
 from .patterns import BipolarPattern, SlotMap, exact_fraction, overlap
 
 COMPONENTS = ("semantic", "lexical", "phonological")
@@ -250,29 +250,55 @@ class LexiconSpec:
         )
 
 
-def _generated_patterns(
-    gen: GeneratorSpec, component: str, rng: np.random.Generator
-) -> list[BipolarPattern]:
+def _generated_units(gen: GeneratorSpec, component: str, rng: np.random.Generator) -> np.ndarray:
+    """The `(count, n)` units of one component's generated words.
+
+    Candidates are uniform +1/-1 rows, tried in turn. A candidate is placed
+    when its overlap with every placed word is at most n - 2 * minimum,
+    i.e. its Hamming distance to each is at least `minimum`; a word with no
+    place after `_GENERATION_RETRY_BUDGET` tries raises GenerationError.
+
+    Candidates are drawn in blocks: one `(rows, n)` draw returns the same
+    rows, and leaves the same stream state, as `rows` draws of one
+    candidate. A block drawn past the last tried candidate is drawn again up
+    to it, so the stream ends where one draw per tried candidate leaves it.
+    """
     n = gen.lengths[component]
     minimum = gen.min_pairwise_distance
-    # A candidate is placed when its overlap with every accepted word is at
-    # most n - 2 * minimum, i.e. its Hamming distance is at least `minimum`.
     limit = n - 2 * minimum
-    # Candidates are drawn as `random_pattern` draws them; only placed rows
-    # become patterns.
-    accepted = np.empty((gen.count, n), dtype=np.int64)
-    for i in range(gen.count):
-        for _ in range(_GENERATION_RETRY_BUDGET):
-            candidate = rng.integers(0, 2, size=n) * 2 - 1
-            if i == 0 or (accepted[:i] @ candidate).max() <= limit:
-                accepted[i] = candidate
+    placed = np.empty((gen.count, n), dtype=np.int64)
+    i = tries = 0  # words placed; failed tries of word i
+    while i < gen.count:
+        state = rng.bit_generator.state
+        # Twice the words left, so that most blocks place them all.
+        rows = 2 * (gen.count - i) + 16
+        block = rng.integers(0, 2, size=(rows, n)) * 2 - 1
+        # Overlaps are integers of magnitude at most n, exact in float64.
+        # `ok[j]`: candidate j fits every word placed so far; the last
+        # entry stands for the end of the block.
+        units = block.astype(np.float64)
+        ok = np.append((units @ placed[:i].T <= limit).all(axis=1), True)
+        used = 0  # candidates of this block tried so far
+        while i < gen.count:
+            j = used + int(ok[used:].argmax())
+            if tries + j - used >= _GENERATION_RETRY_BUDGET:
+                rng.bit_generator.state = state
+                rng.integers(0, 2, size=(used + _GENERATION_RETRY_BUDGET - tries, n))
+                raise GenerationError(
+                    f"could not place {component} pattern for word {i} with min "
+                    f"pairwise distance {minimum} in {_GENERATION_RETRY_BUDGET} tries"
+                )
+            if j == rows:
+                tries += rows - used
+                used = rows
                 break
-        else:
-            raise GenerationError(
-                f"could not place {component} pattern for word {i} with min "
-                f"pairwise distance {minimum} in {_GENERATION_RETRY_BUDGET} tries"
-            )
-    return [BipolarPattern(row) for row in accepted]
+            placed[i] = block[j]
+            ok[j + 1:rows] &= units[j + 1:] @ units[j] <= limit
+            i, tries, used = i + 1, 0, j + 1
+        if used < rows:
+            rng.bit_generator.state = state
+            rng.integers(0, 2, size=(used, n))
+    return placed
 
 
 def word_nodes(spec: LexiconSpec, rng: np.random.Generator) -> tuple[WordNode, ...]:
@@ -280,23 +306,23 @@ def word_nodes(spec: LexiconSpec, rng: np.random.Generator) -> tuple[WordNode, .
 
     Deterministic given the stream state. Random generation that cannot
     satisfy the minimum-distance constraint within the retry budget raises
-    GenerationError rather than relaxing the constraint.
+    GenerationError rather than relaxing the constraint. Each component's
+    words are checked and trained as one stack (see `train_each`); a word's
+    truth is the pattern its network stores.
     """
     if spec.words is not None:
-        per_component = {
-            comp: [getattr(w, comp) for w in spec.words] for comp in COMPONENTS
-        }
+        units = {comp: [getattr(w, comp).units for w in spec.words] for comp in COMPONENTS}
     else:
-        per_component = {
-            comp: _generated_patterns(spec.generator, comp, rng) for comp in COMPONENTS
-        }
+        units = {comp: _generated_units(spec.generator, comp, rng) for comp in COMPONENTS}
+    networks = {comp: train_each(units[comp]) for comp in COMPONENTS}
     nodes = []
     for i, word_id in enumerate(spec.word_ids()):
-        truth = {comp: per_component[comp][i] for comp in COMPONENTS}
+        components = {comp: networks[comp][i] for comp in COMPONENTS}
+        truth = {comp: net.stored[0] for comp, net in components.items()}
         nodes.append(
             WordNode(
                 id=word_id,
-                components={comp: train([truth[comp]]) for comp in COMPONENTS},
+                components=components,
                 truth=truth,
                 metamemory_ref=dict(truth),
                 slot_map=spec.slot_map,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError, TrainingError
-from .patterns import BipolarPattern, floor_count
+from .patterns import BipolarPattern, checked_units, floor_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,6 +46,20 @@ class ComponentNetwork:
             raise DimensionError("mask index out of range")
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "_mask_arr", np.array(sorted(mask), dtype=np.int64))
+
+    @classmethod
+    def _of(cls, w_int, stored, damage_fraction=0.0, mask=frozenset()) -> "ComponentNetwork":
+        """A network on a read-only matrix that is already checked, with an
+        in-range mask: the constructor without its copy and checks."""
+        net = object.__new__(cls)
+        net.__dict__.update(
+            w_int=w_int,
+            stored=stored,
+            damage_fraction=damage_fraction,
+            mask=mask,
+            _mask_arr=np.array(sorted(mask), dtype=np.int64),
+        )
+        return net
 
     @property
     def n(self) -> int:
@@ -112,13 +126,8 @@ class ComponentNetwork:
             raise ParameterError(f"mask fraction must be in [0, 1], got {fraction}")
         k = floor_count(fraction, self.n)
         mask = self.mask.union(rng.choice(self.n, size=k, replace=False).tolist())
-        # The masked network shares this network's validated read-only
-        # matrix, so it skips the copy and symmetry check of __post_init__.
-        masked = object.__new__(ComponentNetwork)
-        masked.__dict__.update(
-            self.__dict__, mask=mask, _mask_arr=np.array(sorted(mask), dtype=np.int64)
-        )
-        return masked
+        # The masked network shares this network's checked read-only matrix.
+        return ComponentNetwork._of(self.w_int, self.stored, self.damage_fraction, mask)
 
 
 def train(patterns) -> ComponentNetwork:
@@ -138,3 +147,23 @@ def train(patterns) -> ComponentNetwork:
     for p in pats:
         w += np.outer(p.units, p.units)
     return ComponentNetwork(w, pats)
+
+
+def train_each(units) -> list[ComponentNetwork]:
+    """One network per row of a `(words, n)` unit array, each storing its
+    row as its one pattern: the networks `train([p])` builds, row by row.
+
+    The rows are checked once as one stack (see `checked_units`), the weights
+    are one `(words, n, n)` stack of outer products (one broadcast product),
+    checked for symmetry once, and each network's `w_int` is a read-only
+    slab of it; each stored pattern's units are a read-only row of the unit
+    stack.
+    """
+    stack = checked_units(units, ndim=2)
+    w = stack[:, :, None] * stack[:, None, :]
+    if not (w == w.transpose(0, 2, 1)).all():
+        raise ParameterError("weight matrix must be symmetric")
+    w.flags.writeable = False
+    return [
+        ComponentNetwork._of(slab, (BipolarPattern._view(row),)) for row, slab in zip(stack, w)
+    ]

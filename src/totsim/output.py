@@ -94,19 +94,34 @@ def write_records_csv(records: list[TrialRecord], path) -> None:
 
 
 def read_record_rows(path) -> list[dict]:
-    """Parse a records CSV back into typed row dicts (schema-checked)."""
+    """Parse a records CSV back into typed row dicts (schema-checked).
+
+    A cell is read only in the form its column writes: it must parse, and
+    formatting the parsed value must give the cell back, so `"2"` is no
+    flag and `"0.50"` no float. Anything else raises ParameterError naming
+    the row (the first record is row 0).
+    """
     text = Path(path).read_text()
     lines = text.splitlines()
     if not lines or lines[0] != RECORDS_HEADER:
         raise ParameterError(f"unexpected records header in {path}")
     rows = []
-    for line in lines[1:]:
+    for i, line in enumerate(lines[1:]):
         values = line.split(",")
         if len(values) != len(RECORD_COLUMNS):
-            raise ParameterError(f"malformed records row: {line!r}")
-        rows.append(
-            {name: parse(value) for (name, parse, _), value in zip(RECORD_COLUMNS, values)}
-        )
+            raise ParameterError(f"malformed records row {i}: {line!r}")
+        row = {}
+        for (name, parse, fmt), cell in zip(RECORD_COLUMNS, values):
+            try:
+                row[name] = parse(cell)
+                written = fmt(row[name]) == cell
+            except ValueError:
+                written = False
+            if not written:
+                raise ParameterError(
+                    f"row {i}: {name} cell {cell!r} is not in its written form"
+                )
+        rows.append(row)
     return rows
 
 

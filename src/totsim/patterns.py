@@ -23,13 +23,14 @@ class BipolarPattern:
     __slots__ = ("_units",)
 
     def __init__(self, units):
-        arr = np.array(units, dtype=np.int64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ParameterError("a pattern needs at least one unit")
-        if not np.all(np.abs(arr) == 1):
-            raise ParameterError("pattern units must be +1 or -1")
-        arr.flags.writeable = False
-        self._units = arr
+        self._units = checked_units(units, ndim=1)
+
+    @classmethod
+    def _view(cls, row: np.ndarray) -> "BipolarPattern":
+        """A pattern on a read-only row that `checked_units` has checked."""
+        pattern = object.__new__(cls)
+        pattern._units = row
+        return pattern
 
     @property
     def units(self) -> np.ndarray:
@@ -75,6 +76,20 @@ class BipolarPattern:
                 f"pattern string may only contain '+' and '-', got {sorted(bad)!r}"
             )
         return cls([1 if ch == "+" else -1 for ch in text])
+
+
+def checked_units(units, ndim: int) -> np.ndarray:
+    """A read-only int64 copy of `units`, an `ndim`-dimensional array whose
+    rows along the last axis are patterns: at least one unit, every unit +1
+    or -1. A `(rows, n)` stack is checked once for all its rows, with the
+    errors of `BipolarPattern`."""
+    arr = np.array(units, dtype=np.int64)
+    if arr.ndim != ndim or arr.shape[-1] < 1:
+        raise ParameterError("a pattern needs at least one unit")
+    if not (np.abs(arr) == 1).all():
+        raise ParameterError("pattern units must be +1 or -1")
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)

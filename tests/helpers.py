@@ -82,7 +82,7 @@ def mean_success_prob_under_damage(net, reference, cue_indices, fraction, draws,
 
 def reference_generated_patterns(gen, component, rng, budget=1000):
     """Random word patterns as a plain per-pair loop, the rule that
-    `lexicon._generated_patterns` vectorizes: draw candidates in turn and
+    `lexicon._generated_units` vectorizes: draw candidates in turn and
     keep one when its Hamming distance to every kept pattern is at least
     `min_pairwise_distance`; give up after `budget` draws for one word."""
     n = gen.lengths[component]

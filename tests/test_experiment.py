@@ -680,6 +680,29 @@ class TestCsvRoundTrip:
             assert row["total_time_ms"] == round(record.total_time_ms, 3)
             assert row["seed_child"] == record.seed_child
 
+    @pytest.mark.parametrize(
+        "column, cell",
+        [
+            ("slot_first_letter", "2"),
+            ("slot_first_letter", "-1"),
+            ("slot_first_letter", " 1"),
+            ("slot_first_letter", "01"),
+            ("sweep_q", "0.50"),
+            ("trial", "+1"),
+        ],
+    )
+    def test_a_cell_not_in_its_written_form_is_rejected(self, tmp_path, column, cell):
+        path = tmp_path / "records.csv"
+        write_records_csv(run_trials(single_word_cfg(n_trials=3)), path)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[lines[0].split(",").index(column)] = cell
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParameterError) as e:
+            read_record_rows(path)
+        assert str(e.value) == f"row 1: {column} cell {cell!r} is not in its written form"
+
     def test_flip_rate_points_are_told_apart(self, tmp_path):
         cfg = single_word_cfg(n_trials=3, sweep={"flip_rate": [0.1, 0.2]})
         path = tmp_path / "records.csv"

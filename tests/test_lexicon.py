@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 from numpy.random import SeedSequence, default_rng
 
-from totsim import lexicon as lexicon_module
+from totsim import experiment, lexicon as lexicon_module
+from totsim.config import parse_config
 from totsim.errors import ConfigError, DimensionError, GenerationError, ParameterError
 from totsim.experiment import PrimingEntry, ScenarioConfig, materialize_bonuses
 from totsim.lexicon import (
@@ -14,9 +15,11 @@ from totsim.lexicon import (
     GeneratorSpec,
     Lexicon,
     LexiconSpec,
+    WordSpec,
     corrupt_metamemory,
     word_nodes,
 )
+from totsim.network import ComponentNetwork, train, train_each
 from totsim.patterns import BipolarPattern
 from totsim.recall import RecallParams, recall_word
 
@@ -84,10 +87,24 @@ class TestBuildLexicon:
             want = reference_generated_patterns(gen, "lexical", twin)
         except GenerationError:
             with pytest.raises(GenerationError):
-                lexicon_module._generated_patterns(gen, "lexical", rng)
-            return
-        assert lexicon_module._generated_patterns(gen, "lexical", rng) == want
+                lexicon_module._generated_units(gen, "lexical", rng)
+        else:
+            got = lexicon_module._generated_units(gen, "lexical", rng)
+            assert got.tolist() == [p.units.tolist() for p in want]
+        # The stream is left where one draw per tried candidate leaves it,
+        # also when a word found no place.
         assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize("rows", [1, 2, 37])
+    @pytest.mark.parametrize("n", [1, 15, 33, 64, 100])
+    def test_one_block_draw_is_one_draw_per_row(self, n, rows):
+        block_rng, row_rng = default_rng(SeedSequence(n)), default_rng(SeedSequence(n))
+        row_rng.integers(0, 2, size=1)  # leave half a 64-bit word buffered
+        block_rng.integers(0, 2, size=1)
+        block = block_rng.integers(0, 2, size=(rows, n))
+        singles = [row_rng.integers(0, 2, size=n) for _ in range(rows)]
+        assert np.array_equal(block, np.array(singles))
+        assert block_rng.bit_generator.state == row_rng.bit_generator.state
 
     def test_unsatisfiable_distance_reported(self):
         # At length 4, distance 4 means exact complement: no 3 words fit.
@@ -144,6 +161,105 @@ class TestBuildLexicon:
         assert explicit.word_ids() == ["b", "a"]
         assert explicit.has_word("a") and not explicit.has_word("w0")
         assert explicit.lengths == dict.fromkeys(COMPONENTS, 3)
+
+
+def assert_trained_one_by_one(nodes, truths):
+    """Each node holds what `train([truth])` builds, per component, for the
+    truths given in node order."""
+    assert len(nodes) == len(truths)
+    for node, truth in zip(nodes, truths):
+        assert node.truth == truth and node.metamemory_ref == truth
+        for comp in COMPONENTS:
+            net, pattern = node.components[comp], node.truth[comp]
+            assert np.array_equal(net.w_int, train([pattern]).w_int)
+            assert net.stored == (pattern,) and net.stored[0] is pattern
+            assert net.damage_fraction == 0.0 and net.mask == frozenset()
+            assert not net.w_int.flags.writeable and not pattern.units.flags.writeable
+
+
+class TestStackedBuild:
+    def test_generated_words_match_the_per_word_path(self):
+        lengths = {"semantic": 14, "lexical": 13, "phonological": 15}
+        spec = LexiconSpec(generator=GeneratorSpec(40, lengths, min_pairwise_distance=3))
+        rng, twin = default_rng(SeedSequence(11)), default_rng(SeedSequence(11))
+        nodes = word_nodes(spec, rng)
+        per_comp = {c: reference_generated_patterns(spec.generator, c, twin) for c in COMPONENTS}
+        assert rng.random() == twin.random()
+        truths = [{c: per_comp[c][i] for c in COMPONENTS} for i in range(40)]
+        assert_trained_one_by_one(nodes, truths)
+        # Each component's networks are slabs of one weight stack.
+        for comp in COMPONENTS:
+            bases = {id(node.components[comp].w_int.base) for node in nodes}
+            assert len(bases) == 1
+
+    def test_explicit_words_match_the_per_word_path(self):
+        texts = ["++-+--++-", "-+-+-++--", "+++------"]
+        words = tuple(
+            WordSpec(
+                id=f"word{i}",
+                semantic=BipolarPattern.from_text(t),
+                lexical=BipolarPattern.from_text(t[::-1]),
+                phonological=BipolarPattern.from_text(t[1:] + t[0]),
+            )
+            for i, t in enumerate(texts)
+        )
+        rng = default_rng(0)
+        state = rng.bit_generator.state
+        nodes = word_nodes(LexiconSpec(words=words), rng)
+        assert rng.bit_generator.state == state  # explicit words draw nothing
+        assert [node.id for node in nodes] == ["word0", "word1", "word2"]
+        truths = [{c: getattr(word, c) for c in COMPONENTS} for word in words]
+        assert_trained_one_by_one(nodes, truths)
+
+    def test_stack_checks_raise_the_pattern_errors(self):
+        with pytest.raises(ParameterError, match="^pattern units must be \\+1 or -1$"):
+            train_each([[1, -1], [1, 0]])
+        with pytest.raises(ParameterError, match="^a pattern needs at least one unit$"):
+            train_each(np.ones((2, 0), dtype=np.int64))
+        with pytest.raises(ParameterError, match="^a pattern needs at least one unit$"):
+            train_each([1, -1])
+        assert train_each(np.ones((0, 3), dtype=np.int64)) == []
+
+    def test_the_300_word_lexicon_is_built_as_stacks(self, monkeypatch):
+        """The lexicon of perfbench's `lexicon_sweep_w2` workload. Drawn one
+        candidate at a time and trained one network at a time, it made 1,831
+        `Generator.integers` calls and 900 runs each of
+        `ComponentNetwork.__post_init__` and `BipolarPattern.__init__`."""
+        lengths = dict.fromkeys(COMPONENTS, 15)
+        cfg, _ = parse_config(
+            {
+                "seed": 1,
+                "target": "w0",
+                "lexicon": {
+                    "generator": {"count": 300, "lengths": lengths, "min_pairwise_distance": 3}
+                },
+            }
+        )
+        want = experiment.build_scenario_lexicon(cfg)
+        counts = dict.fromkeys(("integers", "network", "pattern"), 0)
+
+        class CountingGenerator(np.random.Generator):
+            def integers(self, *args, **kwargs):
+                counts["integers"] += 1
+                return super().integers(*args, **kwargs)
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            experiment, "default_rng", lambda seed: CountingGenerator(np.random.PCG64(seed))
+        )
+        monkeypatch.setattr(
+            ComponentNetwork, "__post_init__", counted("network", ComponentNetwork.__post_init__)
+        )
+        monkeypatch.setattr(BipolarPattern, "__init__", counted("pattern", BipolarPattern.__init__))
+        lex = experiment.build_scenario_lexicon(cfg)
+        assert [node.truth for node in lex.nodes] == [node.truth for node in want.nodes]
+        assert counts == {"integers": 8, "network": 0, "pattern": 0}
 
 
 class TestSelectNode:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
-from numpy.random import SeedSequence, default_rng
+from numpy.random import PCG64, Generator, SeedSequence, default_rng
 
 from .errors import CapacityError, DimensionError, ParameterError
 from .lexicon import COMPONENTS, Lexicon, LexiconSpec, corrupt_metamemory, word_nodes
@@ -30,6 +30,22 @@ SEED_TAG_TRIAL = 3
 # engine draws each component loop as blocks (recall.recall_component) and
 # masked-unit, cue and damage counts are exact floors.
 STREAM_VERSION = 2
+
+# Most trials whose stream start states are derived at once (see
+# `_trial_states`), so the derivation's memory stays bounded at any trial
+# count.
+_TRIAL_BLOCK = 1024
+
+# numpy.random.SeedSequence's hash constants, its pool of four 32-bit words
+# and PCG64's 128-bit LCG multiplier, as numpy's bit_generator.pyx and
+# pcg64.h define them.
+_MASK32 = 0xFFFF_FFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 _MAX_FREE_INDICES = 24
 # Most probe pairs the split-sum oracle tests at once: bounds its memory at
@@ -264,14 +280,14 @@ def _outcome_to_record(
 
 
 def run_one_trial(
-    cfg: ScenarioConfig, lex: Lexicon, point: SweepPoint, trial: int
+    cfg: ScenarioConfig, lex: Lexicon, point: SweepPoint, trial: int, rng: Generator
 ) -> list[TrialRecord]:
-    """All episodes of one trial, on its own keyed random stream.
+    """All episodes of one trial, on `rng`: the trial's own keyed random
+    stream, positioned at its start (see `_run_trial_range`).
 
     The semantic input is drawn once per trial; each episode re-masks and
     re-draws probes. Episode k+1 runs only if episode k did not resolve.
     """
-    rng = default_rng(SeedSequence((cfg.seed, SEED_TAG_TRIAL, point.index, trial)))
     target = lex.node_by_id(cfg.target)
     semantic_input = flip_by_rate(target.truth["semantic"], point.flip_rate, rng)
     bonuses = materialize_bonuses(cfg, trial)
@@ -284,12 +300,106 @@ def run_one_trial(
     return records
 
 
+def _uint32_words(x: int) -> list[int]:
+    """A non-negative int as SeedSequence reads it: little-endian 32-bit
+    words, and one zero word for 0."""
+    words = [x & _MASK32]
+    while x := x >> 32:
+        words.append(x & _MASK32)
+    return words
+
+
+def _pcg64_states(key: list[np.ndarray]) -> list[dict]:
+    """The start state of `PCG64(SeedSequence(entropy))` for each column
+    of `key`, whose rows are the entropy's 32-bit words: at least
+    `_POOL_SIZE` of them, so the pool is filled without padding.
+
+    SeedSequence's pool mixing and `generate_state(4, uint64)` run once
+    over all columns in uint32 array arithmetic, which wraps as its C code
+    does; PCG64's seeding step, two LCG steps from state 0, runs on
+    Python ints.
+    """
+    hash_a = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ np.uint32(hash_a)
+        hash_a = hash_a * _MULT_A & _MASK32
+        value = value * np.uint32(hash_a)
+        return value ^ value >> np.uint32(16)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ result >> np.uint32(16)
+
+    pool = [hashmix(word) for word in key[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in key[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_b = _INIT_B
+    halves = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_b)
+        hash_b = hash_b * _MULT_B & _MASK32
+        value = value * np.uint32(hash_b)
+        halves.append((value ^ value >> np.uint32(16)).astype(np.uint64))
+    # generate_state's uint64 words, low half first: seed[0] is the high
+    # and seed[1] the low word of initstate, seed[2], seed[3] those of initseq.
+    seed = [(halves[2 * i] | halves[2 * i + 1] << np.uint64(32)).tolist() for i in range(4)]
+    states = []
+    for state_hi, state_lo, seq_hi, seq_lo in zip(*seed):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append(
+            {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        )
+    return states
+
+
+def _trial_states(seed: int, index: int, lo: int, hi: int) -> list[dict]:
+    """The start states of trials `lo` to `hi` at sweep point `index`: each
+    the bit generator state of `default_rng(SeedSequence((seed,
+    SEED_TAG_TRIAL, index, trial)))`. Trials whose indices take the same number of 32-bit words
+    share one key width and are derived together."""
+    prefix = _uint32_words(seed) + _uint32_words(SEED_TAG_TRIAL) + _uint32_words(index)
+    states = []
+    while lo < hi:
+        width = len(_uint32_words(lo))
+        trials = range(lo, min(hi, 1 << 32 * width))
+        key = [np.full(len(trials), word, dtype=np.uint32) for word in prefix]
+        key += [
+            np.array([t >> 32 * j & _MASK32 for t in trials], dtype=np.uint32)
+            for j in range(width)
+        ]
+        states += _pcg64_states(key)
+        lo = trials.stop
+    return states
+
+
 def _run_trial_range(
     cfg: ScenarioConfig, lex: Lexicon, point: SweepPoint, lo: int, hi: int
 ) -> list[TrialRecord]:
+    """Trials `lo` to `hi` of one point, each on its keyed stream: one
+    reused generator is set to each trial's start state, which
+    `_trial_states` derives `_TRIAL_BLOCK` trials at a time."""
+    bit_generator = PCG64(0)
+    rng = Generator(bit_generator)
     records: list[TrialRecord] = []
-    for trial in range(lo, hi):
-        records.extend(run_one_trial(cfg, lex, point, trial))
+    for start in range(lo, hi, _TRIAL_BLOCK):
+        stop = min(hi, start + _TRIAL_BLOCK)
+        states = _trial_states(cfg.seed, point.index, start, stop)
+        for trial, state in zip(range(start, stop), states):
+            bit_generator.state = state
+            records.extend(run_one_trial(cfg, lex, point, trial, rng))
     return records
 
 

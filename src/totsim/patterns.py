@@ -27,7 +27,8 @@ class BipolarPattern:
 
     @classmethod
     def _view(cls, row: np.ndarray) -> "BipolarPattern":
-        """A pattern on a read-only row that `checked_units` has checked."""
+        """A pattern on a read-only int64 row of +1/-1 units: one that
+        `checked_units` has checked, or one built from such units."""
         pattern = object.__new__(cls)
         pattern._units = row
         return pattern
@@ -180,7 +181,9 @@ def flip_by_rate(p: BipolarPattern, rate: float, rng: np.random.Generator) -> Bi
     if not 0.0 <= rate <= 1.0:
         raise ParameterError(f"flip rate must be in [0, 1], got {rate}")
     flips = rng.random(len(p)) < rate
-    return BipolarPattern(np.where(flips, -p.units, p.units))
+    units = np.where(flips, -p.units, p.units)  # +1/-1 as p's units are
+    units.flags.writeable = False
+    return BipolarPattern._view(units)
 
 
 def slot_match(output: np.ndarray, reference: np.ndarray, slots: SlotMap) -> dict[str, bool]:

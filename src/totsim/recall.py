@@ -21,6 +21,10 @@ from .patterns import BipolarPattern, exact_fraction, floor_count, overlap, slot
 # Most attempts one block holds, so the engine's memory stays bounded at any
 # max_attempts. Part of the random-stream layout (experiment.STREAM_VERSION).
 _ATTEMPT_CHUNK = 256
+# Rows of each drawn chunk evaluated before the rest of it, so a loop that
+# stops within its first attempts evaluates few rows. Decides evaluation
+# only, not draws: no part of the stream layout.
+_HEAD = 4
 
 
 class Classification(str, Enum):
@@ -187,20 +191,22 @@ def recall_component(
     or N) and clamped in every attempt.
 
     No attempt depends on an earlier one apart from the stop rule, so the
-    attempts run in chunks of up to `_ATTEMPT_CHUNK`: per chunk, one key
-    block for the cues (only when they are redrawn and 0 < k < N), one
-    probe block, one pass and one compare. The stop attempt is the first
-    matching row; otherwise `best_output` is the first row of maximal
-    overlap. Time is the caller's: see `chronometry`.
+    attempts are drawn in chunks of up to `_ATTEMPT_CHUNK`: per chunk, one
+    key block for the cues (only when they are redrawn and 0 < k < N) and
+    one probe block. Each chunk is evaluated head first: one pass, compare
+    and overlap over its first `_HEAD` rows, then one over the rest, so
+    each attempt is evaluated once. The stop attempt is the first matching
+    row; otherwise `best_output` is the first row of maximal overlap. Time
+    is the caller's: see `chronometry`.
     """
     if len(reference) != net.n:
         raise DimensionError(
             f"reference length {len(reference)} != network size {net.n}"
         )
     n, ref, k = net.n, reference.units, cue_size
-    if not isinstance(k, Integral) or not 0 <= k <= n:
+    if not (type(k) is int or isinstance(k, Integral)) or not 0 <= k <= n:
         raise ParameterError(f"cue_size must be an integer in [0, {n}], got {k}")
-    if not isinstance(max_attempts, Integral) or max_attempts < 1:
+    if not (type(max_attempts) is int or isinstance(max_attempts, Integral)) or max_attempts < 1:
         raise ParameterError(f"max_attempts must be an integer >= 1, got {max_attempts}")
     if fixed_cue:
         cue = rng.choice(n, size=k, replace=False)
@@ -214,15 +220,16 @@ def recall_component(
         rows = min(_ATTEMPT_CHUNK, max_attempts - done)
         cues = _per_row_cues(rng, rows, n, k) if cue is None else cue
         probes = generate_probe(ref, cues, rng, rows)
-        outputs = net.retrieve_once(probes)
-        hits = compare(outputs, ref)
-        if hits.any():
-            first = int(hits.argmax())
-            return ComponentOutcome(True, done + first + 1, 1.0, outputs[first])
-        scores = overlap(outputs, ref)
-        top = int(scores.argmax())
-        if best_score is None or scores[top] > best_score:
-            best_score, best_row = int(scores[top]), outputs[top]
+        for lo, hi in ((0, _HEAD), (_HEAD, rows)) if rows > _HEAD else ((0, rows),):
+            outputs = net.retrieve_once(probes[lo:hi])
+            hits = compare(outputs, ref)
+            if hits.any():
+                first = int(hits.argmax())
+                return ComponentOutcome(True, done + lo + first + 1, 1.0, outputs[first])
+            scores = overlap(outputs, ref)
+            top = int(scores.argmax())
+            if best_score is None or scores[top] > best_score:
+                best_score, best_row = int(scores[top]), outputs[top]
         done += rows
     return ComponentOutcome(False, max_attempts, best_score / n, best_row)
 

@@ -1,8 +1,9 @@
 """The batched attempt engine against the one-attempt-at-a-time rules it
 replaces: block passes equal row-by-row passes, the stop attempt is the
 first matching row, the best output is the first row of maximal overlap,
-memory stays bounded by the chunk size, and a trial wraps no unit array in
-a BipolarPattern beyond its semantic input."""
+a chunk is drawn whole however early it is evaluated to a hit, memory stays
+bounded by the chunk size, and a trial wraps no unit array in a
+BipolarPattern beyond its semantic input."""
 
 import tracemalloc
 
@@ -116,11 +117,11 @@ def test_stop_attempt_and_best_output_follow_the_rows(net, cue_tenths, max_attem
 
 
 def test_match_in_second_chunk(monkeypatch):
-    chunk = recall._ATTEMPT_CHUNK
+    chunk, head = recall._ATTEMPT_CHUNK, recall._HEAD
     spy = Spy(monkeypatch)
     target = chunk + 5
-    seen = []
-    real_compare = recall.compare
+    seen, drawn = [], []
+    real_compare, real_probe = recall.compare, recall.generate_probe
 
     def compare(output, reference):
         hits = real_compare(output, reference)
@@ -128,12 +129,35 @@ def test_match_in_second_chunk(monkeypatch):
         seen.append(len(hits))
         return np.arange(start, start + len(hits)) == target
 
+    def generate_probe(ref_units, cue_indices, rng, rows):
+        drawn.append(rows)
+        return real_probe(ref_units, cue_indices, rng, rows)
+
     monkeypatch.setattr(recall, "compare", compare)
+    monkeypatch.setattr(recall, "generate_probe", generate_probe)
     unreachable = P9.with_flipped([0])
     out = recall_component(train([P9]), unreachable, 0, 3 * chunk, default_rng(1))
-    assert seen == [chunk, chunk]
+    assert drawn == [chunk, chunk]
+    assert seen == [head, chunk - head, head, chunk - head]
     assert out.resolved and out.attempts == target + 1
     assert np.array_equal(out.best_output, spy.rows()[target])
+
+
+@pytest.mark.parametrize("cue_size, fixed_cue", [(9, False), (5, False), (5, True)])
+def test_a_hit_in_the_head_leaves_the_stream_after_the_whole_chunk(cue_size, fixed_cue):
+    """Five of nine cue units clamped to the one stored pattern make every
+    pass output it, so the first row matches; the loop has still drawn its
+    whole first chunk, as the stream layout says."""
+    rows, n = 64, len(P9)
+    rng, twin = default_rng(3), default_rng(3)
+    out = recall_component(train([P9]), P9, cue_size, rows, rng, fixed_cue=fixed_cue)
+    assert out.resolved and out.attempts == 1
+    if fixed_cue:
+        twin.choice(n, cue_size, replace=False)
+    elif cue_size < n:
+        twin.random((rows, n))  # the key block of per-row cues
+    twin.random((rows, n))  # the probe block
+    assert rng.random() == twin.random()
 
 
 def test_long_unreachable_loop_stays_in_bounded_memory():

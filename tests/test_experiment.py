@@ -3,6 +3,7 @@ import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -210,6 +211,44 @@ class TestRunTrials:
     def test_workers_must_be_positive(self):
         with pytest.raises(ParameterError):
             run_trials(single_word_cfg(), workers=0)
+
+
+class TestTrialStreams:
+    """`_run_trial_range` derives each trial's start state as an array
+    element; the reused generator must equal the keyed one it replaces."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("index", [0, 7])
+    @pytest.mark.parametrize(
+        "lo", [5, experiment._TRIAL_BLOCK - 2, 2**32 - 2], ids=["above-0", "block", "word"]
+    )
+    def test_each_trial_starts_where_its_keyed_generator_does(
+        self, seed, index, lo, monkeypatch
+    ):
+        ended = []
+
+        def trial_draws(cfg, lex, point, trial, rng):
+            want = default_rng(SeedSequence((seed, experiment.SEED_TAG_TRIAL, index, trial)))
+            assert rng.bit_generator.state == want.bit_generator.state
+            draws = [
+                (g.random(), int(g.integers(0, 1000)), g.choice(9, 3, replace=False).tolist())
+                for g in (rng, want)
+            ]
+            assert draws[0] == draws[1]
+            if not rng.bit_generator.state["has_uint32"]:
+                for g in (rng, want):  # one more uint32 leaves half a word buffered
+                    g.integers(0, 2**32, dtype=np.uint32)
+            assert rng.bit_generator.state == want.bit_generator.state
+            ended.append(rng.bit_generator.state["has_uint32"])
+            return [trial]
+
+        monkeypatch.setattr(experiment, "run_one_trial", trial_draws)
+        cfg, point = SimpleNamespace(seed=seed), SimpleNamespace(index=index)
+        trials = experiment._run_trial_range(cfg, None, point, lo, lo + 4)
+        assert trials == list(range(lo, lo + 4))
+        # Every trial after the first followed one that left a uint32
+        # buffered, which the next start state must not keep.
+        assert ended == [1, 1, 1, 1]
 
 
 def damaged_sweep_cfg():

@@ -146,6 +146,12 @@ class TestFlipByRate:
         p = random_pattern(12, default_rng(6))
         assert flip_by_rate(p, 1.0, default_rng(7)) == p.negate()
 
+    def test_result_is_a_read_only_int64_pattern(self):
+        p = random_pattern(12, default_rng(10))
+        q = flip_by_rate(p, 0.5, default_rng(11))
+        assert q.units.dtype == np.int64 and not q.units.flags.writeable
+        assert set(q.units.tolist()) <= {1, -1}
+
     def test_invalid_rate(self):
         p = random_pattern(3, default_rng(8))
         with pytest.raises(ParameterError):

@@ -173,6 +173,16 @@ class TestRecallComponent:
         with pytest.raises(DimensionError):
             recall_component(net, BipolarPattern([1, 1]), 1, 4, default_rng(0))
 
+    def test_integer_subclasses_are_integers(self):
+        net = train([P9])
+        out = recall_component(net, P9, np.int64(5), np.int64(3), default_rng(0))
+        assert out.resolved and out.attempts == 1
+        assert recall_component(net, P9, True, True, default_rng(0)).attempts == 1
+        with pytest.raises(ParameterError, match="cue_size must be an integer in"):
+            recall_component(net, P9, np.float64(5), 3, default_rng(0))
+        with pytest.raises(ParameterError, match="max_attempts must be an integer"):
+            recall_component(net, P9, 5, 3.0, default_rng(0))
+
 
 class TestClassifyOutcome:
     def resolved(self):

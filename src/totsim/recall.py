@@ -25,6 +25,13 @@ _ATTEMPT_CHUNK = 256
 # stops within its first attempts evaluates few rows. Decides evaluation
 # only, not draws: no part of the stream layout.
 _HEAD = 4
+# Chunk size in units (rows * N) above which a chunk is evaluated head first.
+# A second pass costs a loop that runs on past the head a fixed amount, while
+# what the head saves a loop that stops within it grows with the units it
+# skips; at 320 units the saving is a third of that cost (BENCH_17.json), so
+# above it the head pays once 3 loops in 4 stop within it. Decides
+# evaluation only.
+_HEAD_BREAK_EVEN = 320
 
 
 class Classification(str, Enum):
@@ -144,11 +151,18 @@ def generate_probe(ref_units: np.ndarray, cue_indices, rng: np.random.Generator,
 
     `cue_indices` is either one sequence of unit indices, clamped in every
     row, or a `(rows, k)` integer array giving each row its own cue.
-    Always consumes `rows * n` uniforms, independent of the cue.
+    Always consumes `rows * n` uniforms, independent of the cue. A full cue
+    given as `range(n)` is the reference in every row and no cue given as
+    `range(0)` the random units as drawn, without an index check.
     """
     n = len(ref_units)
+    coins = rng.random((rows, n))
+    if type(cue_indices) is range and cue_indices == range(n):
+        return ref_units[None].repeat(rows, axis=0)
+    probes = np.where(coins < 0.5, 1, -1)
+    if type(cue_indices) is range and not cue_indices:
+        return probes
     idx = np.asarray(cue_indices, dtype=np.int64)
-    probes = np.where(rng.random((rows, n)) < 0.5, 1, -1)
     if idx.size:
         if idx.min() < 0 or idx.max() >= n:
             raise DimensionError("cue index out of range")
@@ -193,11 +207,15 @@ def recall_component(
     No attempt depends on an earlier one apart from the stop rule, so the
     attempts are drawn in chunks of up to `_ATTEMPT_CHUNK`: per chunk, one
     key block for the cues (only when they are redrawn and 0 < k < N) and
-    one probe block. Each chunk is evaluated head first: one pass, compare
-    and overlap over its first `_HEAD` rows, then one over the rest, so
-    each attempt is evaluated once. The stop attempt is the first matching
-    row; otherwise `best_output` is the first row of maximal overlap. Time
-    is the caller's: see `chronometry`.
+    one probe block. A chunk of more than `_HEAD_BREAK_EVEN` units is
+    evaluated head first, its first `_HEAD` rows and then the rest; a
+    smaller one in one pass. A pass retrieves its rows, scores their
+    overlap with the reference and compares the one row its argmax picks:
+    outputs are +1/-1, so a row scores N exactly when it matches, and the
+    first row of maximal overlap is the first match when there is one. So
+    the stop attempt is the first matching row; otherwise `best_output` is
+    the first row of maximal overlap. Time is the caller's: see
+    `chronometry`.
     """
     if len(reference) != net.n:
         raise DimensionError(
@@ -220,14 +238,13 @@ def recall_component(
         rows = min(_ATTEMPT_CHUNK, max_attempts - done)
         cues = _per_row_cues(rng, rows, n, k) if cue is None else cue
         probes = generate_probe(ref, cues, rng, rows)
-        for lo, hi in ((0, _HEAD), (_HEAD, rows)) if rows > _HEAD else ((0, rows),):
+        head_first = rows > _HEAD and rows * n > _HEAD_BREAK_EVEN
+        for lo, hi in ((0, _HEAD), (_HEAD, rows)) if head_first else ((0, rows),):
             outputs = net.retrieve_once(probes[lo:hi])
-            hits = compare(outputs, ref)
-            if hits.any():
-                first = int(hits.argmax())
-                return ComponentOutcome(True, done + lo + first + 1, 1.0, outputs[first])
             scores = overlap(outputs, ref)
             top = int(scores.argmax())
+            if compare(outputs[top], ref):
+                return ComponentOutcome(True, done + lo + top + 1, 1.0, outputs[top])
             if best_score is None or scores[top] > best_score:
                 best_score, best_row = int(scores[top]), outputs[top]
         done += rows

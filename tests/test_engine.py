@@ -1,9 +1,11 @@
 """The batched attempt engine against the one-attempt-at-a-time rules it
 replaces: block passes equal row-by-row passes, the stop attempt is the
 first matching row, the best output is the first row of maximal overlap,
-a chunk is drawn whole however early it is evaluated to a hit, memory stays
-bounded by the chunk size, and a trial wraps no unit array in a
-BipolarPattern beyond its semantic input."""
+a chunk is drawn whole however early it is evaluated to a hit and is
+evaluated head first only above the break-even, a range cue's probe block
+is the one its index list gives, memory stays bounded by the chunk size,
+and a trial wraps no unit array in a BipolarPattern beyond its semantic
+input."""
 
 import tracemalloc
 
@@ -117,30 +119,91 @@ def test_stop_attempt_and_best_output_follow_the_rows(net, cue_tenths, max_attem
 
 
 def test_match_in_second_chunk(monkeypatch):
+    """A hit faked on row chunk + 5 of an unreachable loop: the patched
+    overlap scores that row above any real score, so the pass's argmax picks
+    it, and the patched comparator accepts a pass's pick only then."""
     chunk, head = recall._ATTEMPT_CHUNK, recall._HEAD
     spy = Spy(monkeypatch)
     target = chunk + 5
-    seen, drawn = [], []
-    real_compare, real_probe = recall.compare, recall.generate_probe
+    faked, drawn = [], []
+    real_overlap, real_probe = recall.overlap, recall.generate_probe
 
-    def compare(output, reference):
-        hits = real_compare(output, reference)
-        start = sum(seen)
-        seen.append(len(hits))
-        return np.arange(start, start + len(hits)) == target
+    def overlap(outputs, reference):
+        scores = real_overlap(outputs, reference)
+        start = sum(map(len, spy.blocks)) - len(outputs)
+        faked.append(start <= target < start + len(outputs))
+        if faked[-1]:
+            scores[target - start] = len(reference) + 1
+        return scores
 
     def generate_probe(ref_units, cue_indices, rng, rows):
         drawn.append(rows)
         return real_probe(ref_units, cue_indices, rng, rows)
 
-    monkeypatch.setattr(recall, "compare", compare)
+    monkeypatch.setattr(recall, "overlap", overlap)
+    monkeypatch.setattr(recall, "compare", lambda output, reference: faked[-1])
     monkeypatch.setattr(recall, "generate_probe", generate_probe)
     unreachable = P9.with_flipped([0])
     out = recall_component(train([P9]), unreachable, 0, 3 * chunk, default_rng(1))
     assert drawn == [chunk, chunk]
-    assert seen == [head, chunk - head, head, chunk - head]
+    assert [len(block) for block in spy.blocks] == [head, chunk - head, head, chunk - head]
     assert out.resolved and out.attempts == target + 1
     assert np.array_equal(out.best_output, spy.rows()[target])
+
+
+@pytest.mark.parametrize("n, rows", [(9, 32), (15, 16), (15, 8), (9, None), (15, None)])
+def test_a_loop_at_or_below_the_break_even_is_one_pass(n, rows, monkeypatch):
+    """A chunk of at most `_HEAD_BREAK_EVEN` units is evaluated in one pass,
+    also when nothing in it matches (None: the largest such chunk)."""
+    rows = rows or recall._HEAD_BREAK_EVEN // n
+    assert rows > recall._HEAD and rows * n <= recall._HEAD_BREAK_EVEN
+    spy = Spy(monkeypatch)
+    pattern = random_pattern(n, default_rng(n))
+    out = recall_component(train([pattern]), pattern.with_flipped([0]), 0, rows, default_rng(4))
+    assert not out.resolved and out.attempts == rows
+    assert [len(block) for block in spy.blocks] == [rows]
+
+
+def test_illusory_tot_evaluates_each_loop_in_one_pass(monkeypatch):
+    """Every illusory_tot loop is one 32 x 9 chunk: the fully cued semantic
+    and lexical loops match at once, the phonological loop under the
+    corrupted reference never does, and each takes one pass."""
+    cfg, _ = parse_config(scenarios.load("illusory_tot", n_trials=5))
+    spy = Spy(monkeypatch)
+    records = experiment.run_trials(cfg)
+    assert {(r.att_sem, r.att_lex, r.att_phon) for r in records} == {(1, 1, 32)}
+    assert [len(block) for block in spy.blocks] == [32] * 3 * len(records)
+
+
+@pytest.mark.parametrize("cue_size", [9, 5])
+def test_a_hit_in_the_head_evaluates_only_the_head(cue_size, monkeypatch):
+    """A 64 x 9 chunk is above the break-even: a loop that matches at its
+    first attempt evaluates the 4 head rows and no more."""
+    assert 64 * len(P9) > recall._HEAD_BREAK_EVEN
+    spy = Spy(monkeypatch)
+    out = recall_component(train([P9]), P9, cue_size, 64, default_rng(5))
+    assert out.resolved and out.attempts == 1
+    assert [len(block) for block in spy.blocks] == [recall._HEAD]
+
+
+@pytest.mark.parametrize("rows", [1, 4, 32, 256])
+@pytest.mark.parametrize("n", [9, 15])
+def test_a_range_cue_gives_the_block_an_index_list_gives(rows, n):
+    """`range(n)` (every unit) and `range(0)` (none) take the probe's fast
+    paths; each returns the block the same cue as an index list returns and
+    leaves the stream where the list leaves it, also when a uint32 is
+    buffered."""
+    reference = random_pattern(n, default_rng(rows)).units
+    for cue in (range(n), range(0)):
+        rng, twin = default_rng(rows), default_rng(rows)
+        for g in (rng, twin):
+            g.integers(0, 2**32, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"]
+        fast = recall.generate_probe(reference, cue, rng, rows)
+        listed = recall.generate_probe(reference, list(cue), twin, rows)
+        assert fast.dtype == listed.dtype and np.array_equal(fast, listed)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert rng.random() == twin.random()
 
 
 @pytest.mark.parametrize("cue_size, fixed_cue", [(9, False), (5, False), (5, True)])

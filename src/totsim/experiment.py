@@ -48,10 +48,6 @@ _POOL_SIZE = 4
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 _MAX_FREE_INDICES = 24
-# Most probe pairs the split-sum oracle tests at once: bounds its memory at
-# any number of enumerated units, and keeps its two block buffers (256 KiB
-# each) in cache and off the page-fault path of fresh allocations.
-_SPLIT_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -519,38 +515,70 @@ def _split_sum_count(w: np.ndarray, ref: np.ndarray, live, cue, free) -> int:
     ref_i = +1 (sgn(0) = +1), >= 1 where -1. The left table, `need`, holds
     that threshold less the cue's fixed contribution and the left half's
     activation: what the right half must add, so a pair succeeds when
-    right >= need on every unit. Pairs are tested in blocks of left
-    rows, `_SPLIT_BLOCK` at a time, one unit after another, into two
-    buffers allocated once per call. No table entry exceeds a row's
-    absolute weight sum plus one in magnitude, so the tables take the
-    smallest integer type holding that.
+    right >= need on every unit. No table entry exceeds a row's absolute
+    weight sum plus one in magnitude, so the tables take the smallest
+    integer type holding that.
+
+    Pairs are counted as bitsets over the right rows, packed 64 to a
+    `uint64` word. One unit at a time, the right rows reaching each level
+    of its right sums form one bitset per level, nested and so built as a
+    suffix OR from the top level down, with an empty set past the top.
+    The levels step by 2 from the unit's lowest right sum to its highest
+    (its right sums share one parity), or are its distinct sums where that
+    range holds more levels than the right half has rows. Each left row
+    takes the bitset of the lowest level reaching its need, the index
+    clamped into the unit's range, and ANDs it into its running set; the
+    count is the popcount of the running sets after the last unit. Only
+    one unit's bitsets exist at a time, so besides the tables the count
+    holds three word arrays of at most (right rows + 1) x words: about
+    2 MiB each at the 24-unit cap (4,096 x 64 words), at any weights.
     """
     sign = ref[live]
     w_live = w[live] * sign[:, None]
     h = len(free) // 2
 
     def table(units):
-        bits = (np.arange(1 << len(units))[:, None] >> np.arange(len(units))) & 1
-        return (2 * bits - 1) @ w_live[:, units].T
+        # Column b holds the activation with units[j] at +1 where bit j of b
+        # is set and at -1 elsewhere; each unit doubles the columns.
+        weights = w_live[:, units]
+        steps = 2 * weights
+        out = np.empty((len(live), 1 << len(units)), dtype=np.int64)
+        out[:, 0] = -weights.sum(axis=1)
+        for j in range(len(units)):
+            np.add(out[:, :1 << j], steps[:, j:j + 1], out=out[:, 1 << j:2 << j])
+        return out
 
     bound = int(np.abs(w_live).sum(axis=1).max(initial=0)) + 1
     dtype = np.min_scalar_type(-bound - 1)
-    need = (sign < 0) - table(free[:h]) - w_live[:, cue] @ ref[cue]
-    need = np.ascontiguousarray(need.T, dtype=dtype)
-    right = np.ascontiguousarray(table(free[h:]).T, dtype=dtype)
-    rows = min(need.shape[1], max(1, _SPLIT_BLOCK // right.shape[1]))
-    ok = np.empty((rows, right.shape[1]), dtype=bool)
-    passes = np.empty_like(ok)
-    count = 0
-    for lo in range(0, need.shape[1], rows):
-        block = need[:, lo:lo + rows]
-        block_ok, block_passes = ok[:block.shape[1]], passes[:block.shape[1]]
-        block_ok.fill(True)
-        for need_unit, right_unit in zip(block, right):
-            np.greater_equal(right_unit, need_unit[:, None], out=block_passes)
-            block_ok &= block_passes
-        count += int(np.count_nonzero(block_ok))
-    return count
+    need = (((sign < 0) - w_live[:, cue] @ ref[cue])[:, None] - table(free[:h])).astype(dtype)
+    right = table(free[h:]).astype(dtype)
+    n_right = right.shape[1]
+    words = -(-n_right // 64)
+    rows = np.arange(n_right)
+    word_of = rows >> 6
+    bit_of = np.uint64(1) << (rows & 63).astype(np.uint64)
+    every = np.zeros(words, dtype=np.uint64)
+    np.add.at(every, word_of, bit_of)
+    ok = np.empty((need.shape[1], words), dtype=np.uint64)
+    ok[:] = every
+    picked = np.empty_like(ok)
+    lows = right.min(axis=1).tolist()
+    spans = (right.max(axis=1).astype(np.int64) - lows).tolist()
+    for need_unit, right_unit, lo, span in zip(need, right, lows, spans):
+        n_levels = span // 2 + 1
+        if n_levels <= n_right:
+            level = np.subtract(right_unit, lo, dtype=np.intp) >> 1
+            at = np.subtract(need_unit, lo - 1, dtype=np.intp) >> 1
+        else:
+            levels, level = np.unique(right_unit, return_inverse=True)
+            at = np.searchsorted(levels, need_unit)
+            n_levels = len(levels)
+        sets = np.zeros((n_levels + 1, words), dtype=np.uint64)
+        np.add.at(sets.reshape(-1), level * words + word_of, bit_of)
+        np.bitwise_or.accumulate(sets[::-1], axis=0, out=sets[::-1])
+        np.take(sets, at, axis=0, out=picked, mode="clip")
+        ok &= picked
+    return int(np.bitwise_count(ok).sum())
 
 
 _Z95 = 1.96

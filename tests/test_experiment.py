@@ -25,7 +25,7 @@ from totsim.experiment import (
     validate_record_rows,
 )
 from totsim.lexicon import COMPONENTS
-from totsim.network import train
+from totsim.network import ComponentNetwork, train
 from totsim.output import record_row, read_record_rows, write_records_csv
 from totsim.patterns import BipolarPattern, random_pattern
 from totsim.recall import RecallParams, recall_component
@@ -307,13 +307,15 @@ class TestProcessPool:
 
 @st.composite
 def oracle_cases(draw):
-    """A network of n <= 12 units holding one or two patterns, damaged at a
-    fraction that may be 0 and masked or not; a cue of any size; and a
+    """A network of n <= 16 units holding one to four patterns, damaged at a
+    fraction that may be 0 and masked or not; a cue of any size, drawn as
+    often near the full cue, which leaves 0 to 5 units free (an empty left
+    half at 1, a right half narrower than one 64-bit word below 6); and a
     reference that is the stored pattern, its negation, a corruption of it,
     the pattern with its masked units set to +1, all +1 or random."""
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 16))
     pattern = st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n).map(BipolarPattern)
-    stored = draw(st.lists(pattern, min_size=1, max_size=2))
+    stored = draw(st.lists(pattern, min_size=1, max_size=4))
     rng = default_rng(draw(st.integers(0, 2**32 - 1)))
     net = train(stored).damage(draw(st.sampled_from((0.0, 0.1, 0.3, 0.6, 1.0))), rng)
     net = net.apply_mask(draw(st.sampled_from((0.0, 0.2, 0.5, 1.0))), rng)
@@ -331,9 +333,93 @@ def oracle_cases(draw):
         )
         | pattern
     )
-    k = draw(st.integers(0, n))
+    k = draw(st.integers(0, n) | st.integers(max(0, n - 5), n))
     cue = draw(st.permutations(range(n)))[:k]
     return net, reference, cue
+
+
+def edge_case(name):
+    """One damaged 12-unit network holding three patterns, at a named edge
+    of the split count."""
+    rng = default_rng(SeedSequence(49))
+    p, q, r = (random_pattern(12, rng) for _ in range(3))
+    net = train([p, q, r]).damage(0.3, rng)
+    masked = net.apply_mask(0.25, rng)
+    live = [i for i in range(12) if i not in masked.mask]
+    up = BipolarPattern([1 if i in masked.mask else u for i, u in enumerate(q.units)])
+    all_masked = net.apply_mask(1.0, rng)
+    return {
+        "no_free_units": (net, q, range(12)),
+        "one_free_unit": (net, q, range(1, 12)),
+        "two_free_units": (net, q, range(2, 12)),
+        "five_free_units": (net, q, range(5, 12)),
+        "every_live_unit_cued": (masked, up, live),
+        "one_live_unit_free": (masked, up, live[1:]),
+        "every_unit_masked_all_up": (all_masked, BipolarPattern([1] * 12), ()),
+        "every_unit_masked_one_down": (all_masked, q, ()),
+    }[name]
+
+
+def permuted(net, reference, cue, perm):
+    """The same network, reference and cue with unit perm[j] renamed j."""
+    where = np.argsort(perm)
+    moved = ComponentNetwork(
+        net.w_int[np.ix_(perm, perm)],
+        tuple(BipolarPattern(p.units[perm]) for p in net.stored),
+        net.damage_fraction,
+        frozenset(int(where[i]) for i in net.mask),
+    )
+    return moved, BipolarPattern(reference.units[perm]), [int(where[i]) for i in cue]
+
+
+@st.composite
+def permutation_cases(draw):
+    """A damaged network of 18 to 20 units holding one to three patterns,
+    masked or not; a cue of at most 3 units, so that 14 to 20 units are
+    enumerated; a reference that is the first stored pattern with its
+    masked units set to +1, a corruption of that, or random; and a
+    permutation of the units."""
+    n = draw(st.integers(18, 20))
+    rng = default_rng(draw(st.integers(0, 2**32 - 1)))
+    stored = [random_pattern(n, rng) for _ in range(draw(st.integers(1, 3)))]
+    net = train(stored).damage(draw(st.sampled_from((0.1, 0.3, 0.6))), rng)
+    net = net.apply_mask(draw(st.sampled_from((0.0, 0.1))), rng)
+    up = BipolarPattern([1 if i in net.mask else u for i, u in enumerate(stored[0].units)])
+    flips = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    reference = draw(st.sampled_from((up, up.with_flipped(flips), random_pattern(n, rng))))
+    cue = draw(st.permutations(range(n)))[: draw(st.integers(0, 3))]
+    return net, reference, cue, draw(st.permutations(range(n)))
+
+
+def pinned_case(name):
+    """Seeded damaged networks past the brute force's reach, each with its
+    reference and cue."""
+    if name == "two_patterns_20":
+        rng = default_rng(SeedSequence(44))
+        p, q = random_pattern(20, rng), random_pattern(20, rng)
+        return train([p, q]).damage(0.3, rng), p, ()
+    if name == "three_patterns_cue2_20":
+        rng = default_rng(SeedSequence(40))
+        p, q, r = (random_pattern(22, rng) for _ in range(3))
+        return train([p, q, r]).damage(0.3, rng), p, (4, 17)
+    if name == "one_pattern_24":
+        rng = default_rng(SeedSequence(38))
+        p = random_pattern(24, rng)
+        return train([p]).damage(0.3, rng), p, ()
+    if name == "two_patterns_24":
+        rng = default_rng(SeedSequence(41))
+        p, q = random_pattern(24, rng), random_pattern(24, rng)
+        return train([p, q]).damage(0.2, rng), q, ()
+    if name == "four_patterns_cue2_24":
+        rng = default_rng(SeedSequence(45))
+        ps = [random_pattern(26, rng) for _ in range(4)]
+        return train(ps).damage(0.1, rng), ps[1], (3, 11)
+    assert name == "masked_24"
+    rng = default_rng(SeedSequence(42))
+    p = random_pattern(28, rng)
+    net = train([p, random_pattern(28, rng)]).damage(0.3, rng).apply_mask(4 / 28, rng)
+    up = BipolarPattern([1 if i in net.mask else u for i, u in enumerate(p.units)])
+    return net, up, ()
 
 
 class TestExactSuccessProb:
@@ -386,6 +472,40 @@ class TestExactSuccessProb:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    def test_enumeration_memory_is_bounded_with_heavy_weights(self):
+        # 64 live units, 40 cued: 24 enumerated. With p stored 30 times each
+        # unit's right sums span about 370 levels; stored 300 times, about
+        # 2,900, so holding every unit's bitsets at once would need ~99 MiB.
+        rng = default_rng(SeedSequence(43))
+        p, q = random_pattern(64, rng), random_pattern(64, rng)
+        for copies in (30, 300):
+            net = train([p] * copies + [q]).damage(0.2, rng)
+            tracemalloc.start()
+            try:
+                answers = [exact_success_prob(net, ref, range(40)) for ref in (p, q)]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 2**20
+            assert answers == [Fraction(1), Fraction(0)]
+
+    def test_enumeration_memory_is_bounded_at_any_weight_magnitude(self):
+        # Weights near 20,000 in magnitude spread a unit's right sums over
+        # ~240,000 values, of which at most 4,096 occur: one bitset per value
+        # in that range would need ~120 MiB per unit.
+        rng = default_rng(SeedSequence(47))
+        p = random_pattern(24, rng)
+        noise = rng.integers(-2000, 2001, size=(24, 24))
+        net = ComponentNetwork(20000 * np.outer(p.units, p.units) + noise + noise.T, (p,))
+        tracemalloc.start()
+        try:
+            answer = exact_success_prob(net, p, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert answer == Fraction(3518265, 8388608)
+
     def test_cue_bounds_checked(self):
         net = train([P9])
         with pytest.raises(DimensionError):
@@ -413,6 +533,49 @@ class TestExactSuccessProb:
     def test_matches_the_brute_force_reference(self, case):
         net, reference, cue = case
         assert exact_success_prob(net, reference, cue) == reference_success_prob(
+            net, reference, cue
+        )
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "no_free_units",
+            "one_free_unit",
+            "two_free_units",
+            "five_free_units",
+            "every_live_unit_cued",
+            "one_live_unit_free",
+            "every_unit_masked_all_up",
+            "every_unit_masked_one_down",
+        ],
+    )
+    def test_split_edges_match_the_brute_force_reference(self, name):
+        net, reference, cue = edge_case(name)
+        assert exact_success_prob(net, reference, cue) == reference_success_prob(
+            net, reference, cue
+        )
+
+    @pytest.mark.parametrize(
+        "name, enumerated, want",
+        [
+            ("two_patterns_20", 20, Fraction(4625, 131072)),
+            ("three_patterns_cue2_20", 20, Fraction(19595, 1048576)),
+            ("one_pattern_24", 24, Fraction(1829501, 16777216)),
+            ("two_patterns_24", 24, Fraction(199045, 4194304)),
+            ("four_patterns_cue2_24", 24, Fraction(165745, 8388608)),
+            ("masked_24", 24, Fraction(293795, 8388608)),
+        ],
+    )
+    def test_pinned_enumerations(self, name, enumerated, want):
+        net, reference, cue = pinned_case(name)
+        assert net.n - len(net.mask) - len(cue) == enumerated
+        assert exact_success_prob(net, reference, cue) == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(permutation_cases())
+    def test_renaming_the_units_keeps_the_answer(self, case):
+        net, reference, cue, perm = case
+        assert exact_success_prob(*permuted(net, reference, cue, perm)) == exact_success_prob(
             net, reference, cue
         )
 

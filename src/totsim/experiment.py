@@ -1,4 +1,4 @@
-"""Scenario execution: sweep grids, keyed per-trial random streams, the
+"""Scenario execution: sweep grids, per-trial random streams, the
 Monte Carlo trial runner, the exact oracle, and summary statistics."""
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
-from numpy.random import PCG64, Generator, SeedSequence, default_rng
+from numpy.random import PCG64DXSM, Generator, SeedSequence, default_rng
 
 from .errors import CapacityError, DimensionError, ParameterError
 from .lexicon import COMPONENTS, Lexicon, LexiconSpec, corrupt_metamemory, word_nodes
@@ -28,24 +28,15 @@ SEED_TAG_TRIAL = 3
 # Version of how the random streams are consumed. Output bytes are a
 # function of the resolved config, the seed and this number. 2: the attempt
 # engine draws each component loop as blocks (recall.recall_component) and
-# masked-unit, cue and damage counts are exact floors.
-STREAM_VERSION = 2
+# masked-unit, cue and damage counts are exact floors. 3: trial t of a sweep
+# point runs on the point's PCG64DXSM stream jumped t times (see
+# `_run_trial_range`), no longer on `default_rng(SeedSequence((seed,
+# SEED_TAG_TRIAL, point, t)))`; every other stream is unchanged.
+STREAM_VERSION = 3
 
-# Most trials whose stream start states are derived at once (see
-# `_trial_states`), so the derivation's memory stays bounded at any trial
-# count.
-_TRIAL_BLOCK = 1024
-
-# numpy.random.SeedSequence's hash constants, its pool of four 32-bit words
-# and PCG64's 128-bit LCG multiplier, as numpy's bit_generator.pyx and
-# pcg64.h define them.
-_MASK32 = 0xFFFF_FFFF
-_MASK128 = (1 << 128) - 1
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# The step of `PCG64DXSM.jumped`, (phi - 1) * 2^128 for the golden ratio
+# phi, as numpy rounds it.
+_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 
 _MAX_FREE_INDICES = 24
 
@@ -278,8 +269,8 @@ def _outcome_to_record(
 def run_one_trial(
     cfg: ScenarioConfig, lex: Lexicon, point: SweepPoint, trial: int, rng: Generator
 ) -> list[TrialRecord]:
-    """All episodes of one trial, on `rng`: the trial's own keyed random
-    stream, positioned at its start (see `_run_trial_range`).
+    """All episodes of one trial, on `rng`: the trial's own random stream,
+    positioned at its start (see `_run_trial_range`).
 
     The semantic input is drawn once per trial; each episode re-masks and
     re-draws probes. Episode k+1 runs only if episode k did not resolve.
@@ -296,106 +287,22 @@ def run_one_trial(
     return records
 
 
-def _uint32_words(x: int) -> list[int]:
-    """A non-negative int as SeedSequence reads it: little-endian 32-bit
-    words, and one zero word for 0."""
-    words = [x & _MASK32]
-    while x := x >> 32:
-        words.append(x & _MASK32)
-    return words
-
-
-def _pcg64_states(key: list[np.ndarray]) -> list[dict]:
-    """The start state of `PCG64(SeedSequence(entropy))` for each column
-    of `key`, whose rows are the entropy's 32-bit words: at least
-    `_POOL_SIZE` of them, so the pool is filled without padding.
-
-    SeedSequence's pool mixing and `generate_state(4, uint64)` run once
-    over all columns in uint32 array arithmetic, which wraps as its C code
-    does; PCG64's seeding step, two LCG steps from state 0, runs on
-    Python ints.
-    """
-    hash_a = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_a
-        value = value ^ np.uint32(hash_a)
-        hash_a = hash_a * _MULT_A & _MASK32
-        value = value * np.uint32(hash_a)
-        return value ^ value >> np.uint32(16)
-
-    def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ result >> np.uint32(16)
-
-    pool = [hashmix(word) for word in key[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in key[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_b = _INIT_B
-    halves = []
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_b)
-        hash_b = hash_b * _MULT_B & _MASK32
-        value = value * np.uint32(hash_b)
-        halves.append((value ^ value >> np.uint32(16)).astype(np.uint64))
-    # generate_state's uint64 words, low half first: seed[0] is the high
-    # and seed[1] the low word of initstate, seed[2], seed[3] those of initseq.
-    seed = [(halves[2 * i] | halves[2 * i + 1] << np.uint64(32)).tolist() for i in range(4)]
-    states = []
-    for state_hi, state_lo, seq_hi, seq_lo in zip(*seed):
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append(
-            {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-        )
-    return states
-
-
-def _trial_states(seed: int, index: int, lo: int, hi: int) -> list[dict]:
-    """The start states of trials `lo` to `hi` at sweep point `index`: each
-    the bit generator state of `default_rng(SeedSequence((seed,
-    SEED_TAG_TRIAL, index, trial)))`. Trials whose indices take the same number of 32-bit words
-    share one key width and are derived together."""
-    prefix = _uint32_words(seed) + _uint32_words(SEED_TAG_TRIAL) + _uint32_words(index)
-    states = []
-    while lo < hi:
-        width = len(_uint32_words(lo))
-        trials = range(lo, min(hi, 1 << 32 * width))
-        key = [np.full(len(trials), word, dtype=np.uint32) for word in prefix]
-        key += [
-            np.array([t >> 32 * j & _MASK32 for t in trials], dtype=np.uint32)
-            for j in range(width)
-        ]
-        states += _pcg64_states(key)
-        lo = trials.stop
-    return states
-
-
 def _run_trial_range(
     cfg: ScenarioConfig, lex: Lexicon, point: SweepPoint, lo: int, hi: int
 ) -> list[TrialRecord]:
-    """Trials `lo` to `hi` of one point, each on its keyed stream: one
-    reused generator is set to each trial's start state, which
-    `_trial_states` derives `_TRIAL_BLOCK` trials at a time."""
-    bit_generator = PCG64(0)
+    """Trials `lo` to `hi` of one point, trial t on the point's stream
+    jumped t times: `PCG64DXSM(SeedSequence((seed, SEED_TAG_TRIAL,
+    point.index))).jumped(t)`, state for state. One reused generator is set
+    to the point's start state and advanced by t jumps, which is what
+    `jumped(t)` does, without building a bit generator per trial."""
+    bit_generator = PCG64DXSM(SeedSequence((cfg.seed, SEED_TAG_TRIAL, point.index)))
+    start = bit_generator.state
     rng = Generator(bit_generator)
     records: list[TrialRecord] = []
-    for start in range(lo, hi, _TRIAL_BLOCK):
-        stop = min(hi, start + _TRIAL_BLOCK)
-        states = _trial_states(cfg.seed, point.index, start, stop)
-        for trial, state in zip(range(start, stop), states):
-            bit_generator.state = state
-            records.extend(run_one_trial(cfg, lex, point, trial, rng))
+    for trial in range(lo, hi):
+        bit_generator.state = start
+        bit_generator.advance(trial * _JUMP % 2**128)
+        records.extend(run_one_trial(cfg, lex, point, trial, rng))
     return records
 
 
@@ -515,9 +422,13 @@ def _split_sum_count(w: np.ndarray, ref: np.ndarray, live, cue, free) -> int:
     ref_i = +1 (sgn(0) = +1), >= 1 where -1. The left table, `need`, holds
     that threshold less the cue's fixed contribution and the left half's
     activation: what the right half must add, so a pair succeeds when
-    right >= need on every unit. No table entry exceeds a row's absolute
-    weight sum plus one in magnitude, so the tables take the smallest
-    integer type holding that.
+    right >= need on every unit. The lowest activation the free units can
+    give a unit is minus the sum of its absolute free weights; a unit whose
+    need that already meets passes every pair and gets no row, so the
+    tables grow with the units the free units can still fail, not with the
+    cued ones. No table entry exceeds a row's absolute weight sum plus one
+    in magnitude, so the tables take the smallest integer type holding
+    that.
 
     Pairs are counted as bitsets over the right rows, packed 64 to a
     `uint64` word. One unit at a time, the right rows reaching each level
@@ -535,6 +446,9 @@ def _split_sum_count(w: np.ndarray, ref: np.ndarray, live, cue, free) -> int:
     """
     sign = ref[live]
     w_live = w[live] * sign[:, None]
+    fixed_need = (sign < 0) - w_live[:, cue] @ ref[cue]
+    failable = fixed_need > -np.abs(w_live[:, free]).sum(axis=1)
+    w_live, fixed_need = w_live[failable], fixed_need[failable]
     h = len(free) // 2
 
     def table(units):
@@ -542,7 +456,7 @@ def _split_sum_count(w: np.ndarray, ref: np.ndarray, live, cue, free) -> int:
         # is set and at -1 elsewhere; each unit doubles the columns.
         weights = w_live[:, units]
         steps = 2 * weights
-        out = np.empty((len(live), 1 << len(units)), dtype=np.int64)
+        out = np.empty((len(w_live), 1 << len(units)), dtype=np.int64)
         out[:, 0] = -weights.sum(axis=1)
         for j in range(len(units)):
             np.add(out[:, :1 << j], steps[:, j:j + 1], out=out[:, 1 << j:2 << j])
@@ -550,7 +464,7 @@ def _split_sum_count(w: np.ndarray, ref: np.ndarray, live, cue, free) -> int:
 
     bound = int(np.abs(w_live).sum(axis=1).max(initial=0)) + 1
     dtype = np.min_scalar_type(-bound - 1)
-    need = (((sign < 0) - w_live[:, cue] @ ref[cue])[:, None] - table(free[:h])).astype(dtype)
+    need = (fixed_need[:, None] - table(free[:h])).astype(dtype)
     right = table(free[h:]).astype(dtype)
     n_right = right.shape[1]
     words = -(-n_right // 64)

@@ -90,10 +90,6 @@ class RecallParams:
             cue[comp] = min(Fraction(1), cue[comp] + gain)
         object.__setattr__(self, "cue", cue)
 
-    @classmethod
-    def with_uniform_cue(cls, q: float, **kwargs) -> "RecallParams":
-        return cls(cue_fraction={comp: q for comp in COMPONENTS}, **kwargs)
-
 
 @dataclass(frozen=True)
 class ComponentOutcome:

@@ -4,13 +4,14 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
-from numpy.random import SeedSequence, default_rng
+from numpy.random import PCG64DXSM, Generator, SeedSequence, default_rng
 
 from totsim.errors import GenerationError
 from totsim.experiment import exact_success_prob
 from totsim.lexicon import COMPONENTS, WordNode, WordSpec
 from totsim.network import train
 from totsim.patterns import BipolarPattern, SlotMap, exact_fraction, random_pattern
+from totsim.recall import RecallParams
 
 
 def word_spec(word_id, text):
@@ -78,6 +79,18 @@ def mean_success_prob_under_damage(net, reference, cue_indices, fraction, draws,
         damaged = net.damage(fraction, rng)
         total += exact_success_prob(damaged, reference, cue_indices)
     return total / draws
+
+
+def trial_rng(seed, point, trial):
+    """The generator trial `trial` of sweep point `point` runs on, by the
+    stream version 3 rule as the README states it: the point's PCG64DXSM
+    stream, keyed `(seed, 3, point)`, jumped `trial` times."""
+    return Generator(PCG64DXSM(SeedSequence((seed, 3, point))).jumped(trial))
+
+
+def with_uniform_cue(q, **kwargs):
+    """Recall parameters with cue fraction `q` on every component."""
+    return RecallParams(cue_fraction=dict.fromkeys(COMPONENTS, q), **kwargs)
 
 
 def reference_generated_patterns(gen, component, rng, budget=1000):

@@ -14,7 +14,7 @@ from totsim.network import ComponentNetwork, train
 from totsim.patterns import floor_count, random_pattern
 from totsim.recall import RecallParams, recall_word
 
-from helpers import explicit_word
+from helpers import explicit_word, with_uniform_cue
 
 
 def cue_sizes(monkeypatch):
@@ -79,7 +79,7 @@ def test_mask_count_uses_exact_completeness(monkeypatch, flips, bonus, expected)
     counts = masked_counts(monkeypatch)
     p = random_pattern(10, default_rng(SeedSequence(4)))
     lex = Lexicon((explicit_word("w", p),), 0.3)
-    params = RecallParams.with_uniform_cue(1.0)
+    params = with_uniform_cue(1.0)
     outcome = recall_word(
         lex, p.with_flipped(flips), params, default_rng(SeedSequence(5)), bonuses={"w": bonus}
     )

@@ -30,7 +30,7 @@ from totsim.output import record_row, read_record_rows, write_records_csv
 from totsim.patterns import BipolarPattern, random_pattern
 from totsim.recall import RecallParams, recall_component
 
-from helpers import mean_success_prob_under_damage, reference_success_prob
+from helpers import mean_success_prob_under_damage, reference_success_prob, trial_rng
 
 P9 = BipolarPattern.from_text("++-+--++-")
 
@@ -214,21 +214,20 @@ class TestRunTrials:
 
 
 class TestTrialStreams:
-    """`_run_trial_range` derives each trial's start state as an array
-    element; the reused generator must equal the keyed one it replaces."""
+    """`_run_trial_range` sets one reused generator to each trial's start;
+    it must equal the point's stream jumped `trial` times (stream version 3,
+    `helpers.trial_rng`)."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
     @pytest.mark.parametrize("index", [0, 7])
-    @pytest.mark.parametrize(
-        "lo", [5, experiment._TRIAL_BLOCK - 2, 2**32 - 2], ids=["above-0", "block", "word"]
-    )
-    def test_each_trial_starts_where_its_keyed_generator_does(
+    @pytest.mark.parametrize("lo", [5, 1022, 2**32 - 2])
+    def test_each_trial_starts_where_its_jumped_generator_does(
         self, seed, index, lo, monkeypatch
     ):
         ended = []
 
         def trial_draws(cfg, lex, point, trial, rng):
-            want = default_rng(SeedSequence((seed, experiment.SEED_TAG_TRIAL, index, trial)))
+            want = trial_rng(seed, index, trial)
             assert rng.bit_generator.state == want.bit_generator.state
             draws = [
                 (g.random(), int(g.integers(0, 1000)), g.choice(9, 3, replace=False).tolist())
@@ -249,6 +248,21 @@ class TestTrialStreams:
         # Every trial after the first followed one that left a uint32
         # buffered, which the next start state must not keep.
         assert ended == [1, 1, 1, 1]
+
+    def test_trials_of_one_point_start_apart_and_draw_uncorrelated(self, monkeypatch):
+        starts, firsts = [], []
+
+        def first_draw(cfg, lex, point, trial, rng):
+            starts.append(rng.bit_generator.state["state"]["state"])
+            firsts.append(rng.random())
+            return []
+
+        monkeypatch.setattr(experiment, "run_one_trial", first_draw)
+        cfg, point = SimpleNamespace(seed=11), SimpleNamespace(index=0)
+        experiment._run_trial_range(cfg, None, point, 0, 10_000)
+        assert len(set(starts)) == 10_000
+        u = np.array(firsts)
+        assert abs(np.corrcoef(u[:-1], u[1:])[0, 1]) < 4 / math.sqrt(10_000)
 
 
 def damaged_sweep_cfg():
@@ -338,6 +352,24 @@ def oracle_cases(draw):
     return net, reference, cue
 
 
+@st.composite
+def many_cued_cases(draw):
+    """A damaged network of 30 to 64 units holding one to four patterns,
+    masked or not, and a cue that leaves 0 to 12 units free, so that most
+    live units are cued; a reference that is the first stored pattern with
+    its masked units set to +1, a corruption of that, or random."""
+    n = draw(st.integers(30, 64))
+    rng = default_rng(draw(st.integers(0, 2**32 - 1)))
+    stored = [random_pattern(n, rng) for _ in range(draw(st.integers(1, 4)))]
+    net = train(stored).damage(draw(st.sampled_from((0.1, 0.3, 0.6, 0.9))), rng)
+    net = net.apply_mask(draw(st.sampled_from((0.0, 0.1, 0.3))), rng)
+    up = BipolarPattern([1 if i in net.mask else u for i, u in enumerate(stored[0].units)])
+    flips = draw(st.sets(st.integers(0, n - 1), max_size=3))
+    reference = draw(st.sampled_from((up, up.with_flipped(flips), random_pattern(n, rng))))
+    cue = draw(st.permutations(range(n)))[draw(st.integers(0, 12)):]
+    return net, reference, cue
+
+
 def edge_case(name):
     """One damaged 12-unit network holding three patterns, at a named edge
     of the split count."""
@@ -414,6 +446,10 @@ def pinned_case(name):
         rng = default_rng(SeedSequence(45))
         ps = [random_pattern(26, rng) for _ in range(4)]
         return train(ps).damage(0.1, rng), ps[1], (3, 11)
+    if name == "three_patterns_cue276_300":
+        rng = default_rng(SeedSequence(66))
+        ps = [random_pattern(300, rng) for _ in range(3)]
+        return train(ps).damage(0.9, rng), ps[0], range(276)
     assert name == "masked_24"
     rng = default_rng(SeedSequence(42))
     p = random_pattern(28, rng)
@@ -471,6 +507,22 @@ class TestExactSuccessProb:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_enumeration_memory_is_bounded_with_many_cued_units(self):
+        # 640 live units, 616 cued: 24 enumerated. A table row for every
+        # live unit would take ~43 MiB; a unit that no free assignment can
+        # fail needs none.
+        rng = default_rng(SeedSequence(50))
+        p = random_pattern(640, rng)
+        net = train([p]).damage(0.3, rng)
+        tracemalloc.start()
+        try:
+            answer = exact_success_prob(net, p, range(640 - 24))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert answer == Fraction(1)
 
     def test_enumeration_memory_is_bounded_with_heavy_weights(self):
         # 64 live units, 40 cued: 24 enumerated. With p stored 30 times each
@@ -536,6 +588,14 @@ class TestExactSuccessProb:
             net, reference, cue
         )
 
+    @settings(max_examples=100, deadline=None)
+    @given(many_cued_cases())
+    def test_many_cued_units_match_the_brute_force_reference(self, case):
+        net, reference, cue = case
+        assert exact_success_prob(net, reference, cue) == reference_success_prob(
+            net, reference, cue
+        )
+
     @pytest.mark.parametrize(
         "name",
         [
@@ -564,6 +624,7 @@ class TestExactSuccessProb:
             ("two_patterns_24", 24, Fraction(199045, 4194304)),
             ("four_patterns_cue2_24", 24, Fraction(165745, 8388608)),
             ("masked_24", 24, Fraction(293795, 8388608)),
+            ("three_patterns_cue276_300", 24, Fraction(403, 512)),
         ],
     )
     def test_pinned_enumerations(self, name, enumerated, want):

@@ -3,9 +3,20 @@ shipped config at a reduced trial count.
 
 Output bytes are a function of the resolved config, the seed and the stream
 version (`experiment.STREAM_VERSION`, written to run_meta.json). These
-digests are for stream version 2. A change that moves them must be a
+digests are for stream version 3. A change that moves them must be a
 deliberate, versioned change of how random streams are consumed, or of the
 output schema: re-pin them in the same change and say why.
+
+Stream version 3 re-pinned every digest below that moved, once, for one
+change and nothing else: trial t of a sweep point now runs on the point's
+PCG64DXSM stream jumped t times instead of on `default_rng(SeedSequence((seed,
+3, point, t)))`. Every run_meta.json moved only by its `stream_version`, 2
+to 3. Every records and summary file moved with the new trial draws, except
+illusory_tot's, whose records do not depend on the draws: every record
+is a TOT after 1, 1 and 32 attempts, at strength 7/9. The lexicon, metamemory and
+damage streams did not change: `LEXICONS` pins what they build, with
+digests taken at stream version 2. The history below is that of the
+version 2 digests.
 
 The run_meta.json digests were re-pinned twice, each time for one change
 and nothing else:
@@ -57,48 +68,52 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from totsim.cli import main
+from totsim.config import parse_config
+from totsim.experiment import build_scenario_lexicon, damaged_lexicon, sweep_points
+from totsim.lexicon import COMPONENTS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 N_TRIALS = 12
 
 GOLDEN = {
     "cue_sweep.json": {
-        "records.csv": "ca37057a6cf4750d86ca5a3c90a3f9d95419066a89c261c541ea1bcd3ac9c1fc",
-        "run_meta.json": "ab5d5f3555c53328e899402e27c20d874c38df0610c348ce40907d252276852f",
-        "summary.csv": "2a98fa5b4ccad6db0506fc04cd0ea8871635d84600b8c73cd7a793ce353d23fe",
+        "records.csv": "1660bbc0fae7b076929636027a06ee5b8d43162dcbdc24605496d7588682470f",
+        "run_meta.json": "134d3483bd0f0d73290e3a3a3a61cac4252c1c3061b17bb1314e0d55c788ed4a",
+        "summary.csv": "22ec9272d69e7cde565964e5a881640cc95e7e0731ce7dae9349cebefe819c4e",
     },
     "damage_sweep.json": {
-        "records.csv": "4d65584700ecdd7690345ebc23ebea07607d7853da5ec67e4229c77583e29e2b",
-        "run_meta.json": "a7b8d12b85e1e3f841196e46d06a76534ad645125bad66561793c94d3433cf56",
-        "summary.csv": "c910f4fd3b05782eb4fc45691b6d534c386972ca2e020464ca702017391e9552",
+        "records.csv": "916a879ee361f48fc54e94ec052273bc022ed012f9a03f31692f4c235027be8e",
+        "run_meta.json": "1a22f1bc13781cd90c364a2826ca3673ec6c8c464c2a616bb30f60eef229952d",
+        "summary.csv": "a4999229e7d95d0a6521e63c133d55563007b89100d05863c05d20c352ce74a1",
     },
     "delayed_resolution.json": {
-        "records.csv": "7afcb13b128f35d2a8badfcb92e81895f5b5ef34d9a401f120c6d22ee42aae04",
-        "run_meta.json": "2f1d9ddd4f63b9017317d20734b19ba5843fcedfcd33274c5461c14e5bca0ec6",
-        "summary.csv": "9418ec0fad7c4b6f20536083c6cd4da0f4bae63fa8d2dfe8ebb3e8f3db15a4a9",
+        "records.csv": "a7855344b76a1fb117a331458381ec0f91bb79cd25c552f4d4b608b69e94ed97",
+        "run_meta.json": "d1d5b1ed9afad2bd5ff04de2eef5ed95c5eaec0604e91e7a4bf2ade3da30eaed",
+        "summary.csv": "8708a7f33f8dbdc2649b249e40e14b851a55a8db2dd5e2a04a98d7016b28e968",
     },
     "free_recall.json": {
-        "records.csv": "90c6b93faec7c4d8cc5afac485a54167b0c7d454f7c0a08d40c6bcc4d9efb3b1",
-        "run_meta.json": "b76a56b96c4ba40aefb6f3ffa5608b9329de64b57d66b606811b2b3c6973c6c8",
-        "summary.csv": "db3771ad9a58e6ef1b8cd00a6e314d84a8399367d2a22fb6cd8a1a26dd749588",
+        "records.csv": "2fb110ad4394c2dddfe515e49b5b943c23b6afe74d4071a70e97e35c7fff32cf",
+        "run_meta.json": "3f6029c8eb1904edec06bfbd52b4a0536edc623a4df197f4a3ef5297ba17ff83",
+        "summary.csv": "c3a852dbf720b650b824ed52711102ceab6cbeab0c78ffb80c07285968ce357c",
     },
     "illusory_tot.json": {
         "records.csv": "9a54365c4160cce68c12833fc86170126d2f7b3b2d39cea60f89bc4d22bb745f",
-        "run_meta.json": "f23031e4d6afb5f937cc72e96662a10fc124e2af281d67a66fd437606785db9b",
+        "run_meta.json": "1e4b1efab53fb738f1b00e41db4e2bbfc6f6ce943d9eeaf98e8f3b95ea34a0e5",
         "summary.csv": "1a0961d20fbc3bb4d3a5404d70e898f77c4bffb6ac0ae860377b5fe134570359",
     },
     "partial_information.json": {
-        "records.csv": "4de3c5d34165afc1327f4eb46918799ec2ae3bccf02d0ab171a611286e4f49fd",
-        "run_meta.json": "d4344a26141796f4d0e6db3f64f5f8acc4481356f7c144785264ce040409a126",
-        "summary.csv": "61b7f7367cddcdaca1d1673110faa639e2b98790205e1a1460072158fabcd129",
+        "records.csv": "f359cc282110596cab929e376391c6fc0228e6a9d625d6fb0c6d0766ea62d04b",
+        "run_meta.json": "edaeaa8e8a98458ac2936e08325a0c849abdfd5a4e7d4191a1cd48b03b53228e",
+        "summary.csv": "4686922b575bf0618132bfad3fb5ac380cddd8129359f9e0bfa09343c4903ce3",
     },
     "priming_interloper.json": {
-        "records.csv": "e10e919da18406a4a2f850fcde71f378993c9db5ab52a480c094afb8e207def8",
-        "run_meta.json": "0472f5b3190cb261fbeac6f681c5a753d61543a4ba13cc8f2320c734495c18b1",
-        "summary.csv": "6980abc6be55912b803471921ee751f517e66ecfdf41539be8893cbb77be88f1",
+        "records.csv": "6f8a6aeae6a2e0a2e769a65dcdf8be67200de63f4a6cae435859f883ac642bdf",
+        "run_meta.json": "e49b614baa4dd8c05cf1f6734951cfb6a9bedaed49d75b3b8252d03c02528bd0",
+        "summary.csv": "6667be8ddb4850e11cc96418ae09437de21bccec4e48f3e224a022fbcc4e9b07",
     },
 }
 
@@ -106,39 +121,39 @@ GOLDEN = {
 # written from the record and summary dataclasses, field by field.
 GOLDEN_JSON = {
     "cue_sweep.json": {
-        "records.json": "21055a840611a3fdc8f8363a06425d4cb2b62d9c3ce21335ee21c89705782e70",
-        "run_meta.json": "cb46a508fc31e4dab69e340fe7bbbbb9e9d07268a77fa294c39ebb871eaa4af7",
-        "summary.json": "bfa85a39f426ad382b9131cdc3a6031a5ab997ff18fe2948df8b250d2b69126a",
+        "records.json": "b0750f38711668df77573c457cbb70c702860fc98d9f8ceaf6c7b3d27f6643ff",
+        "run_meta.json": "083c44e4d16f8ac90fff6fb1765b454526ccc2ea035a624fbef14c408d1ef3f5",
+        "summary.json": "f0cb08500df6752d2f159c53b4239ef39155c58b9b4c1d6342c540d30d91d0dd",
     },
     "damage_sweep.json": {
-        "records.json": "4874ac10f36729cd5f82bff8d1b3522b6c9b1f399aad64085ba0d5407d6a0051",
-        "run_meta.json": "7c1a94e0ffd7d27457b76d3fdb24887a2f7957dcc89363265a8ae4978bd5797e",
-        "summary.json": "1e23702ff0d3cc3c7fe79a88027287fc094b6ed8f01489a5b696b6a8ec9c5898",
+        "records.json": "f71fcfff2b398cc9d413aac578c130064d36e37a12b281f0a53f08ba5fc1890b",
+        "run_meta.json": "b632fd7fe0bc6e108174415502a54e3755bbc7c890759ce38e516420982fdba1",
+        "summary.json": "32f74da580eb61123caf55681efadc6ad6e2b463f63dc03fed35c4762d542a15",
     },
     "delayed_resolution.json": {
-        "records.json": "a6d0c94bb5546555c1f0f87229eae7c95dd6beebdffdc4482ee016f299b944e0",
-        "run_meta.json": "5e838f61ae4ad5d1a6b334fa9da2bc75adb7729c76c398ae41301f458d03d002",
-        "summary.json": "9f942125ceed4cd17d29949e190d90bce12ddebab3120d05164d8da674a21219",
+        "records.json": "f23902399e169825c4ab7d9336cae2c195597f3e9e8d3e031ba2ecaf053006be",
+        "run_meta.json": "7702632220abebae77ddb46be3eb38aab16dd2b9d4d3cebc9441f2037db2f63f",
+        "summary.json": "d178617e2fee4b91c637b79f660ac8cda3fc967c123f345852e5c82609b746cf",
     },
     "free_recall.json": {
-        "records.json": "5ca3bce77bccdbdb59715863e4a79ce46cbaef9b845adfaf498ad0e678cd2c0d",
-        "run_meta.json": "606acf30d9cd56f13ae424cb86eb23c35a0d6247062c135023c7fab819dd1c8b",
-        "summary.json": "7df2a4c984abc5fbb0046cf5ba355f2ae29ccf9af21eaf449adff8e2c961309b",
+        "records.json": "936a494f112784ed05913219463d4fc562406968bb6dfb884f57553b54b5a658",
+        "run_meta.json": "b365e4d5ae626438bb627ffcc4c6e1b3e37519f41047a76a85f4081d65d5dda1",
+        "summary.json": "259fc18df1a52e4d5d717dc68558642dfe537e06fdf4e9887a4291f86807d4b4",
     },
     "illusory_tot.json": {
         "records.json": "aeae89f69fdd7e3e87f4799897bba1c948eff34fa13084ef528e048198b497c1",
-        "run_meta.json": "bbe94618d68ed546d999c7868c88c699571e9215c5d13d0d882f9d849db37329",
+        "run_meta.json": "5af1ddf3af0dd4c50911d31bad768dbaa630247d30a266bf457f6e17cdb68ee0",
         "summary.json": "9d23db0a9a34ba0b5b4eddeb04e37a7d4bc889e4c76e3780d2ce0dec2b6f84db",
     },
     "partial_information.json": {
-        "records.json": "6cdefda5d46c28a5fad0e7f51c4019af96db4c25f1a126fee19748c1d98db219",
-        "run_meta.json": "2a398a920454b04ac2afe2245156bc08272b9939857f7529d9f1c84ef7624bd1",
-        "summary.json": "825d7502a3500ef46c60c30c0d8525f0b559d9a8affcdc74b2ad7e1522c936bb",
+        "records.json": "8899d2e3eb56731919b463cad418392289bc82d061cb9b605635d200a3cae048",
+        "run_meta.json": "481b36c1f4bd3e261aa4c04b978dbfd785aa69893250894da910d9eb0ce6b726",
+        "summary.json": "efdd05dee64ba4744460c68494a55535f63007e8cf32e8f32332d2a0b9f46998",
     },
     "priming_interloper.json": {
-        "records.json": "0f0bd83506b7489029d08807a979f6db7882437b15d636c1d7d941becd2c53bc",
-        "run_meta.json": "7ecea778f3549e711753ca54bb7950c7bb8f2e994770a2db5ec6ec3c8a026bc6",
-        "summary.json": "5f0f3ac259d110872b0727dac877237fa9059539c830b7860fbc493997608494",
+        "records.json": "70d34a26b2f8a34f5706347c05d6e5bb21a8520c549958b0bee32d2a09dc4165",
+        "run_meta.json": "a861c7b41441d9500cb33c4950057eecd432a629ebb57d0a6da9acb0594a6939",
+        "summary.json": "a75d143832f237d6ac0935a82155143bf05e335cef8a40fd3f4c5e7261203ac2",
     },
 }
 
@@ -175,29 +190,63 @@ GENERATED_CONFIG = {
 
 GENERATED = {
     "csv": {
-        "records.csv": "1d858582a86e824b9b2d909438bbe8c9d6624a02b169274a87204804a82fa149",
-        "run_meta.json": "9eafbb923e4cda75545b6936a1a7fcd85b0902c7676af3912fd93f697a0e0d93",
-        "summary.csv": "a1e6d3b5bc61e9cb45105acb33d34bf823f3d13ea9f35a792000037d9e195b21",
+        "records.csv": "d00089f45960fa371545837cb9396b90157a9a91f71451d816d8127a1fc79c70",
+        "run_meta.json": "101152cce998900bcb9bf3455967f80d292a021bd834e173e8d1808e124494f8",
+        "summary.csv": "626f60cb320bfef2c3b7aecc3d07fd3ff7b756220931afdf076fdd1542891c6f",
     },
     "json": {
-        "records.json": "d5b1f48447c0afa3cbbd3ffbf3bf65ed1de7845b005acdfe322117192c0cacac",
-        "run_meta.json": "3c29779aca32f2e3fc932ca308b50257d521e703db29a37da1e412e639036cba",
-        "summary.json": "f48d9bc236086b95edb4eddc6288f894bd5423b6e589daf1c29cc9f3c50b8851",
+        "records.json": "736ad705c7f906a4eb3860d26929cae049d625231ecec6e9df7ff42e6887f123",
+        "run_meta.json": "bbb9bc9057b7e0ebaf91da7b587c1891dc82c6170325af4bdd45fc7b5e188fd1",
+        "summary.json": "be99464c144907f4c8882d4e84d9c89d3cdcfb39cb49de01d9981c1d12b12e88",
     },
 }
 
 FIXED_CUE = {
     "csv": {
-        "records.csv": "f091e20e16f5fbb12f6f28d19e1610c7cc5ddcb46a22076a0451cab8e834e496",
-        "run_meta.json": "87a07017180ce3753d5b59fb614dbc006c64b1a6352223344a0be2a9502b6482",
-        "summary.csv": "30665fc3c8571fbbb1a6a51abdb55c19a1b5313312a30757898aabc73a84fe0c",
+        "records.csv": "e1bb8d97e66071457b7b75c0939b55fde944403d9e4d207a24e1bdfb44c69579",
+        "run_meta.json": "6a117558acf676151fcf04051da0d303d5ae1bccff2fa7ad232c37d3b4f2ccd2",
+        "summary.csv": "ce17e705708f43f9a517ef3963ad75e99c4ac6d8e581eb9046fb49ad72b9ce9b",
     },
     "json": {
-        "records.json": "fc56f93ca12ad1b6460987606b1b6fab868e0e388a4768bcdeef8685092dd5f4",
-        "run_meta.json": "3c8a7a236a69cd36aa1ac6c9f9dbd28a5cda47653b7c7a24f0f9a6148b47e581",
-        "summary.json": "ce17bfa6480e31ca591e67f06288d5555fcab0234a2f8dd76af3849b70701b6f",
+        "records.json": "a7a4d0e4027a4aa2f2190d81e8b2a0d249ac542416dd2d3c9aa8124a7d516a46",
+        "run_meta.json": "6d17f4e4545f5d0a4866ec2849c6a130680b51ce146e011024f14b34d9705e0c",
+        "summary.json": "f136553b127643cfec966e491583b7e7f29b432cfa85a4b58868c77143e8d19f",
     },
 }
+
+
+# The SHA-256 of each shipped config's base lexicon and every sweep
+# point's damaged lexicon (`lexicon_digest`), and of the generated bundle's.
+# The lexicon, metamemory-corruption and damage streams are those of
+# stream version 2: these digests were taken before version 3 changed the
+# trial streams, and did not move.
+LEXICONS = {
+    "cue_sweep.json": "8b6c611c961db5daa15a19071829b2ca9d496f6f1eac02fa2363afba55811b75",
+    "damage_sweep.json": "8ad25084586ae4a49bc3de14795fe80f802d1e48416acf6d630299e623ccd5ec",
+    "delayed_resolution.json": "ddc6a02825d03853bdef557cf5b510597052e8d636215596775c6a7b4764946d",
+    "free_recall.json": "10fc6dffbeeacd1c94042c7e297d7848e01062f953f2fd79f5ae34531c2e497d",
+    "illusory_tot.json": "431a03bf1f07541abe8ab868b38d3382368e48b32c538457401b43db0508c86a",
+    "partial_information.json": "b353ed2a36e274dc3748afb9497de2c184a54902978f2d5f823a0c455149225c",
+    "priming_interloper.json": "9f8a948d4897108063e89edc338c9723b12869f0dd4567a703b79d7338105054",
+    "generated": "e40cba785ca465a25d7e0440dc80cf3d20f0b98ee97a2da0d5092ac9ae70b516",
+}
+
+
+def lexicon_digest(raw):
+    """SHA-256 over the base lexicon and each sweep point's damaged one:
+    every word's id, and each component's weights, truth and metamemory
+    reference as int64 bytes."""
+    cfg, _ = parse_config(raw)
+    base = build_scenario_lexicon(cfg)
+    h = hashlib.sha256()
+    for lex in [base] + [damaged_lexicon(cfg, base, point) for point in sweep_points(cfg)]:
+        for node in lex.nodes:
+            h.update(node.id.encode())
+            for comp in COMPONENTS:
+                net = node.components[comp]
+                for array in (net.w_int, node.truth[comp].units, node.metamemory_ref[comp].units):
+                    h.update(np.ascontiguousarray(array, dtype=np.int64).tobytes())
+    return h.hexdigest()
 
 
 def bundle(name, tmp_path, fmt="csv", recall=None):
@@ -222,6 +271,16 @@ def test_every_shipped_config_is_pinned():
     shipped = sorted(p.name for p in CONFIGS.glob("*.json"))
     assert sorted(GOLDEN) == shipped
     assert sorted(GOLDEN_JSON) == shipped
+    assert sorted(LEXICONS) == sorted(shipped + ["generated"])
+
+
+@pytest.mark.parametrize("name", sorted(LEXICONS))
+def test_lexicon_bytes_are_pinned(name):
+    if name == "generated":
+        raw = GENERATED_CONFIG
+    else:
+        raw = json.loads((CONFIGS / name).read_text())
+    assert lexicon_digest(raw) == LEXICONS[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -21,13 +21,14 @@ from totsim.lexicon import (
 )
 from totsim.network import ComponentNetwork, train, train_each
 from totsim.patterns import BipolarPattern
-from totsim.recall import RecallParams, recall_word
+from totsim.recall import recall_word
 
 from helpers import (
     explicit_word,
     hamming,
     reference_generated_patterns,
     reference_select,
+    with_uniform_cue,
     word_spec,
 )
 
@@ -287,7 +288,7 @@ class TestSelectNode:
         x = p.with_flipped([0, 1, 2])
         node, completeness = lex.select_node(x, {"w": 0.1})
         assert node.id == "w" and completeness == Fraction(4, 5)
-        params = RecallParams.with_uniform_cue(1.0)
+        params = with_uniform_cue(1.0)
         outcome = recall_word(lex, x, params, default_rng(0), {"w": 0.1})
         assert outcome.completeness == 0.8
 
@@ -347,7 +348,7 @@ class TestSelectNode:
             seed=0,
             lexicon=LexiconSpec(words=(word_spec("a", "+"),)),
             target="a",
-            recall=RecallParams.with_uniform_cue(0.0),
+            recall=with_uniform_cue(0.0),
             priming=(PrimingEntry("b", 0.3, decay_trials=2),),
         )
         winners = [

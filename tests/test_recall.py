@@ -24,7 +24,7 @@ from totsim.recall import (
     recall_word,
 )
 
-from helpers import explicit_word
+from helpers import explicit_word, with_uniform_cue
 
 P9 = BipolarPattern.from_text("++-+--++-")
 
@@ -218,7 +218,7 @@ class TestClassifyOutcome:
 
 class TestRecallWord:
     def perfect_params(self, **kw):
-        return RecallParams.with_uniform_cue(1.0, **kw)
+        return with_uniform_cue(1.0, **kw)
 
     def test_perfect_conditions_resolve_in_one_attempt_each(self):
         lex = single_word_lexicon()
@@ -244,7 +244,7 @@ class TestRecallWord:
         node = explicit_word("target", P9)
         node = corrupt_metamemory(node, "semantic", 1, default_rng(SeedSequence(8)))
         lex = Lexicon((node,), 0.3)
-        params = RecallParams.with_uniform_cue(0.0, max_attempts=8)
+        params = with_uniform_cue(0.0, max_attempts=8)
         out = recall_word(lex, P9, params, default_rng(SeedSequence(9)))
         assert out.classification is Classification.TOT
         assert out.components["semantic"].attempts == 8
@@ -294,7 +294,7 @@ class TestRecallWord:
 
     def test_fixed_cue_per_episode_is_deterministic(self):
         lex = single_word_lexicon()
-        params = RecallParams.with_uniform_cue(
+        params = with_uniform_cue(
             3 / 9, max_attempts=16, fixed_cue_per_episode=True
         )
         a = recall_word(lex, P9, params, default_rng(SeedSequence(12)))
@@ -316,7 +316,7 @@ class TestRecallWord:
         node = explicit_word("target", P9)
         if corrupt:
             node = corrupt_metamemory(node, corrupt, 1, default_rng(SeedSequence(15)))
-        params = RecallParams.with_uniform_cue(
+        params = with_uniform_cue(
             3 / 9, max_attempts=16, fixed_cue_per_episode=True
         )
         out = recall_word(Lexicon((node,), 0.3), P9, params, default_rng(SeedSequence(16)))
@@ -328,7 +328,7 @@ class TestRecallWord:
         node = explicit_word("target", P9, slots={"first_letter": (0, 1, 2)})
         lex = Lexicon((node,), 0.3)
         out = recall_word(
-            lex, P9, RecallParams.with_uniform_cue(1.0), default_rng(SeedSequence(13))
+            lex, P9, with_uniform_cue(1.0), default_rng(SeedSequence(13))
         )
         assert out.partial_info == {"first_letter": True}
 
@@ -341,7 +341,7 @@ class TestRecallWord:
         semantic_input = pattern.with_flipped(
             rng.choice(9, size=int(flip_share * 9), replace=False)
         )
-        params = RecallParams.with_uniform_cue(q, max_attempts=8)
+        params = with_uniform_cue(q, max_attempts=8)
         out = recall_word(lex, semantic_input, params, rng)
         kinds = [
             out.classification is Classification.RESOLVED,
@@ -363,7 +363,7 @@ class TestRecallWord:
 class TestOutcomeEquality:
     def test_same_seed_outcomes_compare_equal(self):
         lex = single_word_lexicon()
-        params = RecallParams.with_uniform_cue(3 / 9, max_attempts=16)
+        params = with_uniform_cue(3 / 9, max_attempts=16)
         a = recall_word(lex, P9, params, default_rng(SeedSequence(14)))
         b = recall_word(lex, P9, params, default_rng(SeedSequence(14)))
         assert a.components["phonological"].best_output is not None
@@ -376,13 +376,13 @@ class TestOutcomeEquality:
 class TestRecallParams:
     def test_validation(self):
         with pytest.raises(ParameterError):
-            RecallParams.with_uniform_cue(1.2)
+            with_uniform_cue(1.2)
         with pytest.raises(ParameterError):
-            RecallParams.with_uniform_cue(0.5, max_attempts=0)
+            with_uniform_cue(0.5, max_attempts=0)
         with pytest.raises(ParameterError):
-            RecallParams.with_uniform_cue(0.5, spike_ms=0.0)
+            with_uniform_cue(0.5, spike_ms=0.0)
         with pytest.raises(ParameterError):
-            RecallParams.with_uniform_cue(0.5, strength_threshold=1.0)
+            with_uniform_cue(0.5, strength_threshold=1.0)
         with pytest.raises(ParameterError):
             RecallParams(cue_fraction={"semantic": 0.5})
 
@@ -412,4 +412,4 @@ class TestRecallParams:
     )
     def test_values_json_cannot_carry_rejected(self, field, value):
         with pytest.raises(ParameterError):
-            RecallParams.with_uniform_cue(0.5, **{field: value})
+            with_uniform_cue(0.5, **{field: value})

@@ -1,17 +1,11 @@
 """The scenario library reproduces the qualitative retrieval effects."""
 
-from numpy.random import SeedSequence, default_rng
-
 import totsim.scenarios as sc
 from totsim.config import parse_config
-from totsim.experiment import (
-    SEED_TAG_TRIAL,
-    build_scenario_lexicon,
-    materialize_bonuses,
-    run_trials,
-    summarize,
-)
+from totsim.experiment import build_scenario_lexicon, materialize_bonuses, run_trials, summarize
 from totsim.patterns import flip_by_rate
+
+from helpers import trial_rng
 
 
 def run(raw):
@@ -57,9 +51,8 @@ class TestScenarioLibrary:
         truth = lex.node_by_id("target").truth["semantic"]
 
         def selected(trial):
-            rng = default_rng(SeedSequence((cfg.seed, SEED_TAG_TRIAL, 0, trial)))
             semantic_input = flip_by_rate(
-                truth, cfg.semantic_input_flip_rate, rng
+                truth, cfg.semantic_input_flip_rate, trial_rng(cfg.seed, 0, trial)
             )
             got = lex.select_node(semantic_input, bonuses=materialize_bonuses(cfg, trial))
             return got[0].id if got else None

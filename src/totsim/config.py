@@ -1,19 +1,24 @@
 """Scenario configuration: JSON schema parsing, validation with field-path
 diagnostics, defaults resolution, and normalized re-emission.
 
-Each JSON object has one field table `{key: (spec, default)}`, read by
-`_read`. A spec is a reader `(value, path) -> parsed`, a nested table, or a
-one-item list `[spec]` for a list of that item. The default is `_REQUIRED`,
-`_ABSENT` (an alternative or a sweep axis: the key stays out and the dataclass
-default stands), or a value read through the same spec when the key is
-absent, whose path then goes to `defaults_applied`. Keys are the dataclass
-field names, so `normalized_dict` is `asdict` with one fix-up.
+Each JSON object is declared once, as a `(build, fields)` pair: `_read`
+reads the fields by the table `fields`, `{key: (spec, default)}`, and
+returns `build(**fields_read)`. `build` is the config dataclass, `dict` for
+a plain map, or `_recall`, which flattens the nested `chronometry` into
+`RecallParams`. A spec is a reader `(value, path) -> parsed`, a nested
+pair, or a one-item list `[spec]` for a list of that item. The default is
+`_REQUIRED`, `_ABSENT` (an alternative or a sweep axis: the key stays out
+and the dataclass default stands), or a value read through the same spec
+when the key is absent, whose path then goes to `defaults_applied`. Keys
+are the dataclass field names, so `normalized_dict` is `asdict` with one
+fix-up, for `chronometry`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
@@ -31,6 +36,7 @@ from .patterns import BipolarPattern
 from .recall import RecallParams
 
 _MAX_SEED = 2**64 - 1
+_SLOT_NAME = re.compile("[A-Za-z0-9_]+")
 
 _REQUIRED = object()
 _ABSENT = object()
@@ -115,13 +121,14 @@ def _read(spec, value, path: str, applied: list[str]):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(path, "expected a list")
         return tuple([_read(spec[0], v, f"{path}[{i}]", applied) for i, v in enumerate(value)])
+    build, table = spec
     if not isinstance(value, dict):
         raise ConfigError(path, "expected an object")
     for key in value:
-        if key not in spec:
+        if key not in table:
             raise ConfigError(_join(path, key), "unknown field")
     out = {}
-    for key, (item, default) in spec.items():
+    for key, (item, default) in table.items():
         key_path = f"{path}.{key}" if path else key
         if key in value:
             item_value, item_applied = value[key], applied
@@ -132,14 +139,8 @@ def _read(spec, value, path: str, applied: list[str]):
         else:
             applied.append(key_path)
             item_value, item_applied = default, []
-        # Scalar readers are called directly, saving a frame per field:
-        # parsing is a measurable share of a run's set-up time.
-        out[key] = (
-            item(item_value, key_path)
-            if callable(item)
-            else _read(item, item_value, key_path, item_applied)
-        )
-    return out
+        out[key] = _read(item, item_value, key_path, item_applied)
+    return build(**out)
 
 
 def _slots(value, path: str) -> dict[str, tuple[int, ...]]:
@@ -148,13 +149,16 @@ def _slots(value, path: str) -> dict[str, tuple[int, ...]]:
     slots = {}
     for name, indices in value.items():
         slot_path = _join(path, name)
+        # The summary names a column after each slot.
+        if not (isinstance(name, str) and _SLOT_NAME.fullmatch(name)):
+            raise ConfigError(slot_path, "slot names use only letters, digits and '_'")
         if not isinstance(indices, list) or not indices:
             raise ConfigError(slot_path, "expected a non-empty list of unit indices")
         slots[name] = tuple(_natural(i, slot_path) for i in indices)
     return slots
 
 
-_CUE_PER_COMPONENT = {comp: (_unit, _REQUIRED) for comp in COMPONENTS}
+_CUE_PER_COMPONENT = (dict, {comp: (_unit, _REQUIRED) for comp in COMPONENTS})
 
 
 def _cue_fraction(value, path: str) -> dict[str, float]:
@@ -178,32 +182,39 @@ def _grid(value, path: str) -> tuple[float, ...]:
     return values
 
 
-_WORD = {"id": (_as_str, _REQUIRED), **{comp: (_pattern, _REQUIRED) for comp in COMPONENTS}}
+_WORD = (WordSpec, {
+    "id": (_as_str, _REQUIRED),
+    **{comp: (_pattern, _REQUIRED) for comp in COMPONENTS},
+})
 
-_LEXICON = {
+_GENERATOR = (GeneratorSpec, {
+    "count": (_positive, _REQUIRED),
+    "lengths": ((dict, {comp: (_positive, _REQUIRED) for comp in COMPONENTS}), _REQUIRED),
+    "min_pairwise_distance": (_natural, GeneratorSpec.min_pairwise_distance),
+})
+
+_LEXICON = (LexiconSpec, {
     "selection_threshold": (
         partial(_as_number, lo=0.0, lo_open=True, hi=1.0),
         LexiconSpec.selection_threshold,
     ),
     "words": ([_WORD], _ABSENT),
-    "generator": (
-        {
-            "count": (_positive, _REQUIRED),
-            "lengths": ({comp: (_positive, _REQUIRED) for comp in COMPONENTS}, _REQUIRED),
-            "min_pairwise_distance": (_natural, GeneratorSpec.min_pairwise_distance),
-        },
-        _ABSENT,
-    ),
+    "generator": (_GENERATOR, _ABSENT),
     "slots": (_slots, {}),
-}
+})
 
 # RecallParams keeps these flat; the JSON nests them under `chronometry`.
-_CHRONOMETRY = {
+_CHRONOMETRY = (dict, {
     "spike_ms": (partial(_as_number, lo=0.0, lo_open=True), RecallParams.spike_ms),
     "interval_ms": (partial(_as_number, lo=0.0), RecallParams.interval_ms),
-}
+})
 
-_RECALL = {
+
+def _recall(chronometry: dict, **fields) -> RecallParams:
+    return RecallParams(**fields, **chronometry)
+
+
+_RECALL = (_recall, {
     "cue_fraction": (_cue_fraction, 0.0),
     "max_attempts": (_positive, RecallParams.max_attempts),
     "link_gain": (_unit, RecallParams.link_gain),
@@ -213,28 +224,30 @@ _RECALL = {
         RecallParams.strength_threshold,
     ),
     "fixed_cue_per_episode": (_as_bool, RecallParams.fixed_cue_per_episode),
-}
+})
 
-_DAMAGE = {
+_DAMAGE = (DamagePlanEntry, {
     "word": (_as_str, _REQUIRED),
     "component": (_as_component, _REQUIRED),
     "fraction": (_unit, _REQUIRED),
     "protected_slots": ([_as_str], _ABSENT),
-}
+})
 
-_CORRUPTION = {
+_CORRUPTION = (CorruptionEntry, {
     "word": (_as_str, _REQUIRED),
     "component": (_as_component, _REQUIRED),
     "flips": (_natural, _REQUIRED),
-}
+})
 
-_PRIMING = {
+_PRIMING = (PrimingEntry, {
     "word": (_as_str, _REQUIRED),
     "bonus": (_unit, _REQUIRED),
     "decay_trials": (_natural, _REQUIRED),
-}
+})
 
-_SCENARIO = {
+_SWEEP = (SweepGrid, {axis.name: (_grid, _ABSENT) for axis in fields(SweepGrid)})
+
+_SCENARIO = (ScenarioConfig, {
     "seed": (partial(_as_int, lo=0, hi=_MAX_SEED), _REQUIRED),
     "lexicon": (_LEXICON, _REQUIRED),
     "target": (_as_str, _REQUIRED),
@@ -245,16 +258,8 @@ _SCENARIO = {
     "priming": ([_PRIMING], ScenarioConfig.priming),
     "episodes_per_trial": (_positive, ScenarioConfig.episodes_per_trial),
     "n_trials": (_positive, ScenarioConfig.n_trials),
-    "sweep": ({axis.name: (_grid, _ABSENT) for axis in fields(SweepGrid)}, _ABSENT),
-}
-
-
-def _lexicon(doc: dict) -> LexiconSpec:
-    if "words" in doc:
-        doc["words"] = tuple(WordSpec(**word) for word in doc["words"])
-    if "generator" in doc:
-        doc["generator"] = GeneratorSpec(**doc["generator"])
-    return LexiconSpec(**doc)
+    "sweep": (_SWEEP, _ABSENT),
+})
 
 
 def _check_word(lexicon: LexiconSpec, word_id: str, path: str) -> None:
@@ -310,20 +315,7 @@ def parse_config(raw: dict) -> tuple[ScenarioConfig, list[str]]:
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be a JSON object")
     applied: list[str] = []
-    doc = _read(_SCENARIO, raw, "", applied)
-    doc["lexicon"] = _lexicon(doc["lexicon"])
-    recall = doc["recall"]
-    recall.update(recall.pop("chronometry"))
-    doc["recall"] = RecallParams(**recall)
-    for key, entry_type in (
-        ("damage", DamagePlanEntry),
-        ("metamemory_corruption", CorruptionEntry),
-        ("priming", PrimingEntry),
-    ):
-        doc[key] = tuple(entry_type(**entry) for entry in doc[key])
-    if "sweep" in doc:
-        doc["sweep"] = SweepGrid(**doc["sweep"])
-    cfg = ScenarioConfig(**doc)
+    cfg = _read(_SCENARIO, raw, "", applied)
     _check_references(cfg)
     return cfg, applied
 
@@ -357,5 +349,5 @@ def normalized_dict(cfg: ScenarioConfig) -> dict:
     identical scenario."""
     out = _plain(asdict(cfg))
     recall = out["recall"]
-    recall["chronometry"] = {key: recall.pop(key) for key in _CHRONOMETRY}
+    recall["chronometry"] = {key: recall.pop(key) for key in _CHRONOMETRY[1]}
     return out

@@ -4,9 +4,11 @@ Monte Carlo trial runner, the exact oracle, and summary statistics."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 from numpy.random import PCG64DXSM, Generator, SeedSequence, default_rng
@@ -514,64 +516,48 @@ def summarize(records: list[TrialRecord], strength_threshold: float = 0.7) -> li
 
     `strong_tot_share` is the share of TOT records at or above the strength
     threshold; `eventual_resolution_rate` is the fraction of trials whose
-    final episode resolved.
+    final episode resolved. Every row has a rate for each slot that any
+    record of the run reports, so all rows have the same columns.
     """
     if not records:
         raise ParameterError("summarize needs at least one record")
+    slot_names = sorted({name for r in records for name in r.partial_info})
     groups: dict[tuple[float, float, float], list[TrialRecord]] = {}
     for record in records:
         groups.setdefault((record.sweep_q, record.sweep_d, record.flip_rate), []).append(record)
     rows = []
     for (q, d, f), recs in groups.items():
         n = len(recs)
-        resolved = sum(r.classification == Classification.RESOLVED.value for r in recs)
-        tot = sum(r.classification == Classification.TOT.value for r in recs)
-        noaccess = sum(r.classification == Classification.NO_ACCESS.value for r in recs)
-        attempts = [r.att_sem + r.att_lex + r.att_phon for r in recs]
-        res_rate, res_lo, res_hi = _rate_interval(resolved, n)
-        tot_rate, tot_lo, tot_hi = _rate_interval(tot, n)
-        na_rate, na_lo, na_hi = _rate_interval(noaccess, n)
+        counts = Counter(r.classification for r in recs)
+        tot = counts[Classification.TOT.value]
         strong = sum(
             r.classification == Classification.TOT.value
             and is_strong(r.tot_strength, strength_threshold)
             for r in recs
         )
-        last_by_trial: dict[int, TrialRecord] = {}
-        for r in recs:
-            prev = last_by_trial.get(r.trial)
-            if prev is None or r.episode > prev.episode:
-                last_by_trial[r.trial] = r
-        eventual = sum(
-            r.classification == Classification.RESOLVED.value
-            for r in last_by_trial.values()
-        )
-        slot_names = sorted({name for r in recs for name in r.partial_info})
-        slot_rates = {
-            name: sum(r.partial_info.get(name, False) for r in recs) / n
-            for name in slot_names
-        }
+        # Each trial's last-written record, in episode order, is its final one.
+        last = {r.trial: r for r in sorted(recs, key=attrgetter("episode"))}
+        eventual = sum(r.classification == Classification.RESOLVED.value for r in last.values())
+        attempts = [r.att_sem + r.att_lex + r.att_phon for r in recs]
         rows.append(
             SummaryRow(
-                sweep_q=q,
-                sweep_d=d,
-                flip_rate=f,
-                n_records=n,
-                n_trials=len(last_by_trial),
-                resolved_rate=res_rate,
-                resolved_ci_low=res_lo,
-                resolved_ci_high=res_hi,
-                tot_rate=tot_rate,
-                tot_ci_low=tot_lo,
-                tot_ci_high=tot_hi,
-                noaccess_rate=na_rate,
-                noaccess_ci_low=na_lo,
-                noaccess_ci_high=na_hi,
+                q,
+                d,
+                f,
+                n,
+                len(last),
+                *_rate_interval(counts[Classification.RESOLVED.value], n),
+                *_rate_interval(tot, n),
+                *_rate_interval(counts[Classification.NO_ACCESS.value], n),
                 mean_attempts=float(np.mean(attempts)),
                 median_attempts=float(np.median(attempts)),
                 mean_time_ms=float(np.mean([r.total_time_ms for r in recs])),
                 strong_tot_share=(strong / tot) if tot else 0.0,
-                eventual_resolution_rate=eventual / len(last_by_trial),
-                slot_rates=slot_rates,
+                eventual_resolution_rate=eventual / len(last),
+                slot_rates={
+                    name: sum(r.partial_info.get(name, False) for r in recs) / n
+                    for name in slot_names
+                },
             )
         )
     return rows

@@ -162,10 +162,9 @@ def generate_probe(ref_units: np.ndarray, cue_indices, rng: np.random.Generator,
     if idx.size:
         if idx.min() < 0 or idx.max() >= n:
             raise DimensionError("cue index out of range")
-        if idx.ndim == 2:
-            probes[np.arange(len(idx))[:, None], idx] = ref_units[idx]
-        else:
-            probes[:, idx] = ref_units[idx]
+        # One clamp for both shapes: a list of k indices broadcasts over the
+        # rows as a `(rows, k)` block does.
+        probes[np.arange(rows)[:, None], idx] = ref_units[idx]
     return probes
 
 

@@ -114,6 +114,32 @@ class TestSimulate:
         assert payload["records"][0]["classification"] == "Resolved"
         assert (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("flip_rates", [[0.0, 1.0], [1.0, 0.0]])
+    def test_every_summary_row_has_the_slot_columns_of_the_run(self, tmp_path, fmt, flip_rates):
+        # Flip rate 1 negates the semantic input, so below a selection
+        # threshold of 0.9 that point selects no word and none of its
+        # records reports a slot; its row still carries the slot column.
+        raw = minimal_raw(sweep={"flip_rate": flip_rates})
+        raw["lexicon"]["selection_threshold"] = 0.9
+        raw["lexicon"]["slots"] = {"first_letter": [0, 1, 2]}
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--format", fmt]) == 0
+        if fmt == "csv":
+            header, *lines = (out / "summary.csv").read_text().splitlines()
+            names = header.split(",")
+            cells = [line.split(",") for line in lines]
+            assert [len(row) for row in cells] == [len(names)] * 2
+            rows = [dict(zip(names, map(float, row))) for row in cells]
+        else:
+            rows = json.loads((out / "summary.json").read_text())["summary"]
+        assert [list(row) for row in rows] == [list(rows[0])] * 2
+        by_flip = {row["flip_rate"]: row for row in rows}
+        assert by_flip[1.0]["noaccess_rate"] == 1.0
+        assert by_flip[1.0]["slot_first_letter_rate"] == 0.0
+        assert by_flip[0.0]["slot_first_letter_rate"] == 1.0
+
     def test_bundle_files_get_the_mode_of_a_plain_file(self, tmp_path):
         cfg = write_config(tmp_path, minimal_raw())
         out = tmp_path / "out"

@@ -173,6 +173,23 @@ class TestValidationErrors:
             parse_config(raw)
         assert path_of(e) == "lexicon.slots"
 
+    @pytest.mark.parametrize("name", ["a,b", "first letter", "a-b", "a\nb", "a\n", "é", '"a"'])
+    def test_slot_name_must_fit_a_csv_header(self, name):
+        # The summary CSV names a column after each slot; a comma or a quote
+        # in the name would split or shift its header.
+        raw = minimal_raw()
+        raw["lexicon"]["slots"] = {name: [0, 1]}
+        with pytest.raises(ConfigError) as e:
+            parse_config(raw)
+        assert path_of(e) == f"lexicon.slots.{name}"
+
+    def test_slot_names_of_letters_digits_and_underscores_pass(self):
+        names = ["first_letter", "stress", "gender", "ending", "a", "b", "Slot_9"]
+        raw = minimal_raw()
+        raw["lexicon"]["slots"] = {name: [i] for i, name in enumerate(names)}
+        cfg, _ = parse_config(raw)
+        assert list(cfg.lexicon.slots) == names
+
     def test_damage_unknown_word(self):
         raw = minimal_raw(
             damage=[{"word": "pear", "component": "phonological", "fraction": 0.5}]

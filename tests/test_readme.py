@@ -1,11 +1,15 @@
 """The README's library quickstart and CLI examples run as written against
-the package, and its scenario table lists the shipped configs."""
+the package, its scenario table lists the shipped configs, and its output
+schema quotes the headers the package writes."""
 
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 from totsim import cli, scenarios
+from totsim.experiment import SummaryRow
+from totsim.output import RECORDS_HEADER
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,6 +31,14 @@ def test_quickstart_runs(capsys):
 def test_scenario_table_lists_the_shipped_scenarios():
     section = README.read_text().split("## Scenario library", 1)[1].split("\n## ", 1)[0]
     assert re.findall(r"^\| `(\w+)` \|", section, re.M) == scenarios.names()
+
+
+def test_output_schema_quotes_the_written_headers():
+    section = README.read_text().split("## Output schema", 1)[1].split("\n## ", 1)[0]
+    records, summary = re.findall(r"```\n(.*?)\n```", section, re.S)
+    assert records == RECORDS_HEADER
+    # The slot columns follow these, one per slot the run reports.
+    assert summary.split(",") == [f.name for f in fields(SummaryRow) if f.name != "slot_rates"]
 
 
 def cli_examples() -> dict[str, list[str]]:

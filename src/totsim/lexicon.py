@@ -121,23 +121,26 @@ class Lexicon:
         One block `overlap` gives every node's overlap. Without a bonus a
         node's score is max(0, overlap) / N, so the best unprimed node is
         the first row of maximal overlap, and it clears the threshold iff
-        that overlap reaches the precomputed integer `_min_overlap`. Only
-        primed nodes are scored one by one.
+        that overlap reaches the precomputed integer `_min_overlap`: one
+        `argmax` of the block, whose first maximal row it is. Only primed
+        nodes are scored one by one.
         """
         n = self._semantic.shape[1]
         if len(semantic_input) != n:
             raise DimensionError(
                 f"semantic input length {len(semantic_input)} != lexicon length {n}"
             )
-        overlaps = overlap(self._semantic, semantic_input.units).tolist()
+        overlaps = overlap(self._semantic, semantic_input.units)
         primed = {
             self._row[word_id]: bonus for word_id, bonus in bonuses.items() if word_id in self._row
         }
         if not primed:
-            top = max(overlaps)
+            row = int(overlaps.argmax())
+            top = int(overlaps[row])
             if top < self._min_overlap:
                 return None
-            return self._by_id[overlaps.index(top)], Fraction(top, n)
+            return self._by_id[row], Fraction(top, n)
+        overlaps = overlaps.tolist()
         # Primed rows leave the unprimed ranking.
         unprimed = [-n if row in primed else ov for row, ov in enumerate(overlaps)]
         top = max(unprimed)

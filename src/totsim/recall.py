@@ -147,15 +147,13 @@ def generate_probe(ref_units: np.ndarray, cue_indices, rng: np.random.Generator,
 
     `cue_indices` is either one sequence of unit indices, clamped in every
     row, or a `(rows, k)` integer array giving each row its own cue.
-    Always consumes `rows * n` uniforms, independent of the cue. A full cue
-    given as `range(n)` is the reference in every row and no cue given as
-    `range(0)` the random units as drawn, without an index check.
+    Always consumes `rows * n` uniforms, independent of the cue. No cue
+    given as `range(0)` returns the random units as drawn, without an index
+    check. The engine never asks for a full cue's block, only for its
+    uniforms: see `recall_component`.
     """
     n = len(ref_units)
-    coins = rng.random((rows, n))
-    if type(cue_indices) is range and cue_indices == range(n):
-        return ref_units[None].repeat(rows, axis=0)
-    probes = np.where(coins < 0.5, 1, -1)
+    probes = np.where(rng.random((rows, n)) < 0.5, 1, -1)
     if type(cue_indices) is range and not cue_indices:
         return probes
     idx = np.asarray(cue_indices, dtype=np.int64)
@@ -209,7 +207,15 @@ def recall_component(
     outputs are +1/-1, so a row scores N exactly when it matches, and the
     first row of maximal overlap is the first match when there is one. So
     the stop attempt is the first matching row; otherwise `best_output` is
-    the first row of maximal overlap. Time is the caller's: see
+    the first row of maximal overlap.
+
+    A full cue (k = N) makes every probe the reference, so every attempt
+    outputs the one image of the reference (`ComponentNetwork.image`,
+    which the network keeps): the loop stops at attempt 1 if that image
+    is the reference and otherwise runs all `max_attempts` with it as best
+    output. It is evaluated from that one retrieval, and each of its chunks
+    still draws the `(rows, N)` uniforms of its probe block, so the stream
+    moves as it does for any other cue. Time is the caller's: see
     `chronometry`.
     """
     if len(reference) != net.n:
@@ -223,10 +229,16 @@ def recall_component(
         raise ParameterError(f"max_attempts must be an integer >= 1, got {max_attempts}")
     if fixed_cue:
         cue = rng.choice(n, size=k, replace=False)
-    elif k in (0, n):
-        cue = range(k)  # no cue or the whole pattern
+    elif k == 0:
+        cue = range(0)  # no cue
     else:
         cue = None  # redrawn per attempt
+    if k == n:
+        output, score = net.image(ref)
+        attempts = 1 if score == n else max_attempts
+        for done in range(0, attempts, _ATTEMPT_CHUNK):
+            rng.random((min(_ATTEMPT_CHUNK, max_attempts - done), n))  # the probe blocks
+        return ComponentOutcome(score == n, attempts, score / n, output)
     best_score, best_row = None, None
     done = 0
     while done < max_attempts:

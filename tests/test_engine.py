@@ -2,10 +2,11 @@
 replaces: block passes equal row-by-row passes, the stop attempt is the
 first matching row, the best output is the first row of maximal overlap,
 a chunk is drawn whole however early it is evaluated to a hit and is
-evaluated head first only above the break-even, a range cue's probe block
-is the one its index list gives, memory stays bounded by the chunk size,
-and a trial wraps no unit array in a BipolarPattern beyond its semantic
-input."""
+evaluated head first only above the break-even, a full cue's loop is the
+row-by-row loop evaluated from one retrieval that each network keeps, a
+range cue's probe block is the one its index list gives, memory stays
+bounded by the chunk size, and a trial wraps no unit array in a
+BipolarPattern beyond its semantic input."""
 
 import tracemalloc
 
@@ -18,7 +19,7 @@ from totsim import experiment, recall, scenarios
 from totsim.config import parse_config
 from totsim.network import ComponentNetwork, train
 from totsim.patterns import BipolarPattern, overlap, random_pattern
-from totsim.recall import recall_component
+from totsim.recall import ComponentOutcome, recall_component
 
 P9 = BipolarPattern.from_text("++-+--++-")
 
@@ -70,15 +71,17 @@ def test_even_length_ties_give_plus_one_in_a_block():
 
 
 class Spy:
-    """Records every output block the engine's pass produces."""
+    """Records every output block the engine's pass produces, and the
+    network that produced it."""
 
     def __init__(self, monkeypatch):
-        self.blocks = []
+        self.blocks, self.nets = [], []
         original = ComponentNetwork.retrieve_once
 
         def retrieve_once(net, probe):
             out = original(net, probe)
             self.blocks.append(out.copy())
+            self.nets.append(net)
             return out
 
         monkeypatch.setattr(ComponentNetwork, "retrieve_once", retrieve_once)
@@ -102,8 +105,13 @@ def test_stop_attempt_and_best_output_follow_the_rows(net, cue_tenths, max_attem
             ref = net.stored[0].units.copy()
             ref[sorted(net.mask)] = 1
             reference = BipolarPattern(ref)
-        out = recall_component(net, reference, cue_tenths * net.n // 10, max_attempts, rng)
-    rows = spy.rows()
+        cue_size = cue_tenths * net.n // 10
+        out = recall_component(net, reference, cue_size, max_attempts, rng)
+    if cue_size == net.n:
+        # Every probe is the reference, so each attempt outputs its one image.
+        rows = np.array([loop_retrieve(net, reference.units.tolist())] * max_attempts)
+    else:
+        rows = spy.rows()
     assert len(rows) >= out.attempts
     ref = reference.units
     matches = [i for i, row in enumerate(rows) if np.array_equal(row, ref)]
@@ -167,32 +175,40 @@ def test_a_loop_at_or_below_the_break_even_is_one_pass(n, rows, monkeypatch):
 def test_illusory_tot_evaluates_each_loop_in_one_pass(monkeypatch):
     """Every illusory_tot loop is one 32 x 9 chunk: the fully cued semantic
     and lexical loops match at once, the phonological loop under the
-    corrupted reference never does, and each takes one pass."""
+    corrupted reference never does. Each phonological loop takes one pass;
+    each fully cued network retrieves its reference once for the whole
+    run."""
     cfg, _ = parse_config(scenarios.load("illusory_tot", n_trials=5))
     spy = Spy(monkeypatch)
     records = experiment.run_trials(cfg)
     assert {(r.att_sem, r.att_lex, r.att_phon) for r in records} == {(1, 1, 32)}
-    assert [len(block) for block in spy.blocks] == [32] * 3 * len(records)
+    shapes = [block.shape for block in spy.blocks]
+    assert shapes.count((32, 9)) == len(records)
+    single = [net for net, shape in zip(spy.nets, shapes) if shape == (9,)]
+    assert len(single) == 2 and single[0] is not single[1]
+    assert len(shapes) == len(records) + 2
 
 
 @pytest.mark.parametrize("cue_size", [9, 5])
 def test_a_hit_in_the_head_evaluates_only_the_head(cue_size, monkeypatch):
     """A 64 x 9 chunk is above the break-even: a loop that matches at its
-    first attempt evaluates the 4 head rows and no more."""
+    first attempt evaluates the 4 head rows and no more. A full cue
+    evaluates one row, the reference itself."""
     assert 64 * len(P9) > recall._HEAD_BREAK_EVEN
     spy = Spy(monkeypatch)
     out = recall_component(train([P9]), P9, cue_size, 64, default_rng(5))
     assert out.resolved and out.attempts == 1
-    assert [len(block) for block in spy.blocks] == [recall._HEAD]
+    head = (len(P9),) if cue_size == len(P9) else (recall._HEAD, len(P9))
+    assert [block.shape for block in spy.blocks] == [head]
 
 
 @pytest.mark.parametrize("rows", [1, 4, 32, 256])
 @pytest.mark.parametrize("n", [9, 15])
 def test_a_range_cue_gives_the_block_an_index_list_gives(rows, n):
-    """`range(n)` (every unit) and `range(0)` (none) take the probe's fast
-    paths; each returns the block the same cue as an index list returns and
-    leaves the stream where the list leaves it, also when a uint32 is
-    buffered."""
+    """`range(0)` (no unit) takes the probe's fast path and `range(n)`
+    (every unit) the general clamp; each returns the block the same cue as
+    an index list returns and leaves the stream where the list leaves it,
+    also when a uint32 is buffered."""
     reference = random_pattern(n, default_rng(rows)).units
     for cue in (range(n), range(0)):
         rng, twin = default_rng(rows), default_rng(rows)
@@ -204,6 +220,86 @@ def test_a_range_cue_gives_the_block_an_index_list_gives(rows, n):
         assert fast.dtype == listed.dtype and np.array_equal(fast, listed)
         assert rng.bit_generator.state == twin.bit_generator.state
         assert rng.random() == twin.random()
+
+
+def full_cue_loop(net, reference, max_attempts, rng, fixed_cue):
+    """The attempt loop at k = N, row by row in plain Python over the rows
+    the stream layout draws: the fixed cue first, then each chunk's probe
+    uniforms, with every unit clamped to the reference."""
+    n, ref = net.n, reference.units.tolist()
+    cue = set(rng.choice(n, size=n, replace=False).tolist() if fixed_cue else range(n))
+    best = None
+    for done in range(0, max_attempts, recall._ATTEMPT_CHUNK):
+        coins = rng.random((min(recall._ATTEMPT_CHUNK, max_attempts - done), n)).tolist()
+        for row, units in enumerate(coins):
+            probe = [
+                r if j in cue else 1 if u < 0.5 else -1 for j, (r, u) in enumerate(zip(ref, units))
+            ]
+            out = loop_retrieve(net, probe)
+            if out == ref:
+                return ComponentOutcome(True, done + row + 1, 1.0, np.array(out))
+            score = sum(a * b for a, b in zip(out, ref))
+            if best is None or score > best[0]:
+                best = score, out
+    return ComponentOutcome(False, max_attempts, best[0] / n, np.array(best[1]))
+
+
+@given(
+    networks,
+    st.booleans(),
+    st.sampled_from([1, 255, 256, 257, 600]),
+    st.booleans(),
+    st.integers(0, 10**6),
+)
+def test_a_full_cue_loop_equals_the_row_by_row_loop(net, fixed_cue, max_attempts, stored, seed):
+    """A full cue's loop, evaluated from the network's one image of the
+    reference, gives the row-by-row loop's outcome and leaves the stream
+    where it leaves it, with a uint32 buffered, on the call that retrieves
+    the image and on the next, which retrieves nothing."""
+    reference = random_pattern(net.n, default_rng(seed))
+    if stored:  # often reachable: a stored pattern with masked units up
+        ref = net.stored[0].units.copy()
+        ref[sorted(net.mask)] = 1
+        reference = BipolarPattern(ref)
+    with pytest.MonkeyPatch.context() as mp:
+        spy = Spy(mp)
+        for call in range(2):
+            rng, twin = default_rng(seed + call), default_rng(seed + call)
+            for g in (rng, twin):
+                g.integers(0, 2**32, dtype=np.uint32)
+            got = recall_component(net, reference, net.n, max_attempts, rng, fixed_cue=fixed_cue)
+            want = full_cue_loop(net, reference, max_attempts, twin, fixed_cue)
+            assert got == want and np.array_equal(got.best_output, want.best_output)
+            assert rng.bit_generator.state == twin.bit_generator.state
+            assert [block.shape for block in spy.blocks] == [(net.n,)]
+
+
+@pytest.mark.parametrize("order", [(0, 1, 0, 1), (1, 0, 1, 0), (0, 0, 1, 1), (1, 1, 0, 0)])
+def test_each_reference_gets_its_own_full_cue_outcome(order):
+    """The stored pattern matches at once under a full cue; illusory_tot's
+    1-unit-corrupted reference never does, and its best output is the
+    stored pattern. One network answers each, in any call order."""
+    net, corrupted = train([P9]), P9.with_flipped([0])
+    cases = [(P9, ComponentOutcome(True, 1, 1.0)), (corrupted, ComponentOutcome(False, 32, 7 / 9))]
+    rng = default_rng(6)
+    for i in order:
+        reference, want = cases[i]
+        got = recall_component(net, reference, 9, 32, rng)
+        assert got == want and np.array_equal(got.best_output, P9.units)
+
+
+@pytest.mark.parametrize("derive", ["apply_mask", "damage"])
+def test_a_derived_network_computes_its_own_full_cue_outcome(derive):
+    """A network masked or damaged from one that has answered a full cue
+    answers from its own weights and mask: with every unit masked or every
+    weight zeroed, each output unit is +1, which P9 is not."""
+    net, rng = train([P9]), default_rng(8)
+    assert recall_component(net, P9, 9, 32, rng) == ComponentOutcome(True, 1, 1.0)
+    derived = getattr(net, derive)(1.0, rng)
+    got = recall_component(derived, P9, 9, 32, rng)
+    assert got == ComponentOutcome(False, 32, sum(P9.units.tolist()) / 9)
+    assert got.best_output.tolist() == [1] * 9
+    assert recall_component(net, P9, 9, 32, rng) == ComponentOutcome(True, 1, 1.0)
 
 
 @pytest.mark.parametrize("cue_size, fixed_cue", [(9, False), (5, False), (5, True)])

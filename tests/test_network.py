@@ -118,6 +118,20 @@ class TestRetrieveOnce:
         with pytest.raises(DimensionError):
             net.retrieve_once(BipolarPattern([1, -1]).units)
 
+    def test_image_is_one_pass_and_its_overlap_also_when_held(self):
+        """`image` answers as `retrieve_once` and `overlap` do, on the call
+        that fills its slot, on a repeat, and for another row; a row of the
+        wrong shape is rejected even when a row is held."""
+        p = BipolarPattern.from_text("++-+--++-")
+        net = train([p, p.with_flipped([0, 1, 2, 3])])
+        for row in (p, p, p.with_flipped([4]), p):
+            out, score = net.image(row.units)
+            assert np.array_equal(out, net.retrieve_once(row.units))
+            assert score == overlap(out, row.units)
+        for bad in (p.units[:8], p.units[None]):
+            with pytest.raises(DimensionError):
+                net.image(bad)
+
     @given(odd_n, st.integers(0, 2**32 - 1))
     def test_fixed_point_property(self, n, seed):
         p = random_pattern(n, default_rng(SeedSequence(seed)))

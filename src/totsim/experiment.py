@@ -205,7 +205,7 @@ def build_scenario_lexicon(cfg: ScenarioConfig) -> Lexicon:
         for entry in cfg.metamemory_corruption:
             i = row[entry.word]
             nodes[i] = corrupt_metamemory(nodes[i], entry.component, entry.flips, rng)
-    return Lexicon(tuple(nodes), cfg.lexicon.selection_threshold)
+    return Lexicon(tuple(nodes), cfg.lexicon.selection_threshold, cfg.lexicon.slot_map)
 
 
 def damaged_lexicon(cfg: ScenarioConfig, lex: Lexicon, point: SweepPoint) -> Lexicon:
@@ -221,13 +221,13 @@ def damaged_lexicon(cfg: ScenarioConfig, lex: Lexicon, point: SweepPoint) -> Lex
     nodes = {node.id: node for node in lex.nodes}
     for entry in sorted(point.damage, key=lambda e: (e.word, e.component)):
         node = nodes[entry.word]
-        protected = [i for name in entry.protected_slots for i in node.slot_map.slots[name]]
+        protected = [i for name in entry.protected_slots for i in lex.slot_map.slots[name]]
         components = dict(node.components)
         components[entry.component] = components[entry.component].damage(
             entry.fraction, rng, protected=protected
         )
         nodes[entry.word] = replace(node, components=components)
-    return Lexicon(tuple(nodes[node.id] for node in lex.nodes), lex.selection_threshold)
+    return replace(lex, nodes=tuple(nodes[node.id] for node in lex.nodes))
 
 
 def materialize_bonuses(cfg: ScenarioConfig, trial: int) -> dict[str, float]:
@@ -278,7 +278,7 @@ def run_one_trial(
     re-draws probes. Episode k+1 runs only if episode k did not resolve.
     """
     target = lex.node_by_id(cfg.target)
-    semantic_input = flip_by_rate(target.truth["semantic"], point.flip_rate, rng)
+    semantic_input = flip_by_rate(target.components["semantic"].stored[0], point.flip_rate, rng)
     bonuses = materialize_bonuses(cfg, trial)
     records = []
     for episode in range(1, cfg.episodes_per_trial + 1):
@@ -516,12 +516,12 @@ def summarize(records: list[TrialRecord], strength_threshold: float = 0.7) -> li
 
     `strong_tot_share` is the share of TOT records at or above the strength
     threshold; `eventual_resolution_rate` is the fraction of trials whose
-    final episode resolved. Every row has a rate for each slot that any
-    record of the run reports, so all rows have the same columns.
+    final episode resolved. Every record of a run names the lexicon's
+    declared slots (see `recall_word`), so every row has a rate for each.
     """
     if not records:
         raise ParameterError("summarize needs at least one record")
-    slot_names = sorted({name for r in records for name in r.partial_info})
+    slot_names = sorted(records[0].partial_info)
     groups: dict[tuple[float, float, float], list[TrialRecord]] = {}
     for record in records:
         groups.setdefault((record.sweep_q, record.sweep_d, record.flip_rate), []).append(record)
@@ -555,7 +555,7 @@ def summarize(records: list[TrialRecord], strength_threshold: float = 0.7) -> li
                 strong_tot_share=(strong / tot) if tot else 0.0,
                 eventual_resolution_rate=eventual / len(last),
                 slot_rates={
-                    name: sum(r.partial_info.get(name, False) for r in recs) / n
+                    name: sum(r.partial_info[name] for r in recs) / n
                     for name in slot_names
                 },
             )

@@ -27,52 +27,48 @@ NO_BONUSES: Mapping[str, float] = MappingProxyType({})
 class WordNode:
     """One word: three trained component networks plus metamemory references.
 
-    `truth` holds the originally learned pattern per component; the
-    comparator's `metamemory_ref` normally equals it but may be corrupted by
-    a scenario. The slot map segments the phonological component.
+    A component's learned pattern is the one pattern its network stores,
+    `components[c].stored[0]`; the comparator's `metamemory_ref` normally
+    equals it but may be corrupted by a scenario. The slot map over the
+    phonological component belongs to the lexicon.
     """
 
     id: str
     components: dict[str, ComponentNetwork]
-    truth: dict[str, BipolarPattern]
     metamemory_ref: dict[str, BipolarPattern]
-    slot_map: SlotMap
 
     def __post_init__(self):
         if not self.id:
             raise ParameterError("word id must be non-empty")
         for mapping, what in (
             (self.components, "components"),
-            (self.truth, "truth"),
             (self.metamemory_ref, "metamemory_ref"),
         ):
             if tuple(sorted(mapping)) != tuple(sorted(COMPONENTS)):
                 raise ParameterError(f"{what} must cover exactly {COMPONENTS}")
         for comp in COMPONENTS:
             n = self.components[comp].n
-            if len(self.truth[comp]) != n or len(self.metamemory_ref[comp]) != n:
+            if len(self.metamemory_ref[comp]) != n:
                 raise DimensionError(
-                    f"{comp} pattern length does not match its network size {n}"
+                    f"{comp} metamemory reference length does not match its network size {n}"
                 )
-        if self.slot_map.length != self.components["phonological"].n:
-            raise DimensionError("slot map length must match the phonological component")
-
-    def component_length(self, component: str) -> int:
-        return self.components[component].n
 
 
 @dataclass(frozen=True, eq=False)
 class Lexicon:
-    """All word nodes plus the selection threshold.
+    """All word nodes, the selection threshold and the slot map.
 
-    Selection reads the semantic truths as one read-only `(words, N)` int64
-    matrix whose rows are in id order, so a tie on the score goes to the
-    first row; `_row` maps each id to its row. The threshold is read once
-    as an exact rational (see `exact_fraction`).
+    The one `slot_map` segments every word's phonological component; a
+    lexicon built without one has no slots. Selection reads the words'
+    learned semantic patterns as one read-only `(words, N)` int64 matrix
+    whose rows are in id order, so a tie on the score goes to the first
+    row; `_row` maps each id to its row. The threshold is read once as an
+    exact rational (see `exact_fraction`).
     """
 
     nodes: tuple[WordNode, ...]
     selection_threshold: float
+    slot_map: SlotMap | None = None
 
     def __post_init__(self):
         if not 0.0 < self.selection_threshold <= 1.0:
@@ -85,11 +81,18 @@ class Lexicon:
         if len(set(ids)) != len(ids):
             raise ConfigError("lexicon", "word ids must be unique")
         for comp in COMPONENTS:
-            lengths = {node.component_length(comp) for node in self.nodes}
+            lengths = {node.components[comp].n for node in self.nodes}
             if len(lengths) > 1:
                 raise DimensionError(f"nodes disagree on {comp} length: {sorted(lengths)}")
+        n_phon = self.nodes[0].components["phonological"].n
+        if self.slot_map is None:
+            object.__setattr__(self, "slot_map", SlotMap(n_phon))
+        elif self.slot_map.length != n_phon:
+            raise DimensionError("slot map length must match the phonological component")
         by_id = tuple(sorted(self.nodes, key=lambda node: node.id))
-        semantic = np.array([node.truth["semantic"].units for node in by_id], dtype=np.int64)
+        semantic = np.array(
+            [node.components["semantic"].stored[0].units for node in by_id], dtype=np.int64
+        )
         semantic.flags.writeable = False
         threshold = exact_fraction(self.selection_threshold)
         object.__setattr__(self, "_by_id", by_id)
@@ -310,8 +313,8 @@ def word_nodes(spec: LexiconSpec, rng: np.random.Generator) -> tuple[WordNode, .
     Deterministic given the stream state. Random generation that cannot
     satisfy the minimum-distance constraint within the retry budget raises
     GenerationError rather than relaxing the constraint. Each component's
-    words are checked and trained as one stack (see `train_each`); a word's
-    truth is the pattern its network stores.
+    words are checked and trained as one stack (see `train_each`); each
+    word's metamemory references start as the patterns its networks store.
     """
     if spec.words is not None:
         units = {comp: [getattr(w, comp).units for w in spec.words] for comp in COMPONENTS}
@@ -321,16 +324,8 @@ def word_nodes(spec: LexiconSpec, rng: np.random.Generator) -> tuple[WordNode, .
     nodes = []
     for i, word_id in enumerate(spec.word_ids()):
         components = {comp: networks[comp][i] for comp in COMPONENTS}
-        truth = {comp: net.stored[0] for comp, net in components.items()}
-        nodes.append(
-            WordNode(
-                id=word_id,
-                components=components,
-                truth=truth,
-                metamemory_ref=dict(truth),
-                slot_map=spec.slot_map,
-            )
-        )
+        refs = {comp: net.stored[0] for comp, net in components.items()}
+        nodes.append(WordNode(id=word_id, components=components, metamemory_ref=refs))
     return tuple(nodes)
 
 
@@ -344,7 +339,7 @@ def corrupt_metamemory(
     """
     if component not in COMPONENTS:
         raise ParameterError(f"unknown component {component!r}")
-    n = node.component_length(component)
+    n = node.components[component].n
     if not 0 <= flips <= n:
         raise ParameterError(f"flip count must be in [0, {n}], got {flips}")
     idx = rng.choice(n, size=flips, replace=False)

@@ -176,15 +176,13 @@ def train_each(units) -> list[ComponentNetwork]:
     row as its one pattern: the networks `train([p])` builds, row by row.
 
     The rows are checked once as one stack (see `checked_units`), the weights
-    are one `(words, n, n)` stack of outer products (one broadcast product),
-    checked for symmetry once, and each network's `w_int` is a read-only
+    are one `(words, n, n)` stack of outer products (one broadcast product,
+    symmetric by construction), and each network's `w_int` is a read-only
     slab of it; each stored pattern's units are a read-only row of the unit
     stack.
     """
     stack = checked_units(units, ndim=2)
     w = stack[:, :, None] * stack[:, None, :]
-    if not (w == w.transpose(0, 2, 1)).all():
-        raise ParameterError("weight matrix must be symmetric")
     w.flags.writeable = False
     return [
         ComponentNetwork._of(slab, (BipolarPattern._view(row),)) for row, slab in zip(stack, w)

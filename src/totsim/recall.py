@@ -114,10 +114,8 @@ SKIPPED = ComponentOutcome(False, 0, 0.0)
 
 @dataclass(frozen=True)
 class RecallOutcome:
-    """Full trace of one recall episode for one word."""
+    """Full trace of one recall episode: NoAccess when no word was selected."""
 
-    word_id: str | None
-    selected: bool
     completeness: float
     components: dict[str, ComponentOutcome]
     classification: Classification
@@ -294,17 +292,19 @@ def recall_word(
     with floor(cue * n) cue units (see `floor_count`), where cue is its
     exact `params.cue`. The episode's time is the sum over components, in
     cascade order, of `chronometry` of their attempts.
+
+    `partial_info` names every slot of `lex.slot_map`: a slot matches when
+    the phonological best output equals the reference on it, and is False
+    when the phonological loop never ran, NoAccess included.
     """
     selection = lex.select_node(semantic_input, bonuses)
     if selection is None:
         return RecallOutcome(
-            word_id=None,
-            selected=False,
             completeness=0.0,
             components=dict.fromkeys(COMPONENTS, SKIPPED),
             classification=Classification.NO_ACCESS,
             tot_strength=0.0,
-            partial_info={},
+            partial_info=dict.fromkeys(lex.slot_map.names(), False),
             total_time_ms=0.0,
         )
     node, completeness = selection
@@ -331,13 +331,11 @@ def recall_word(
     phon = outcomes["phonological"]
     if phon.best_output is not None:
         partial = slot_match(
-            phon.best_output, node.metamemory_ref["phonological"].units, node.slot_map
+            phon.best_output, node.metamemory_ref["phonological"].units, lex.slot_map
         )
     else:
-        partial = {name: False for name in node.slot_map.names()}
+        partial = dict.fromkeys(lex.slot_map.names(), False)
     return RecallOutcome(
-        word_id=node.id,
-        selected=True,
         completeness=float(completeness),
         components=outcomes,
         classification=classification,

@@ -10,7 +10,7 @@ from totsim.errors import GenerationError
 from totsim.experiment import exact_success_prob
 from totsim.lexicon import COMPONENTS, WordNode, WordSpec
 from totsim.network import train
-from totsim.patterns import BipolarPattern, SlotMap, exact_fraction, random_pattern
+from totsim.patterns import BipolarPattern, exact_fraction, random_pattern
 from totsim.recall import RecallParams
 
 
@@ -24,15 +24,18 @@ def hamming(a, b):
     return int(np.count_nonzero(a.units != b.units))
 
 
-def explicit_word(word_id, pattern, slots=None):
+def explicit_word(word_id, pattern):
     """A single trained node, same pattern on all three components."""
     return WordNode(
         id=word_id,
         components={c: train([pattern]) for c in COMPONENTS},
-        truth={c: pattern for c in COMPONENTS},
         metamemory_ref={c: pattern for c in COMPONENTS},
-        slot_map=SlotMap(len(pattern), slots or {}),
     )
+
+
+def learned(node):
+    """A node's learned pattern per component: the one its network stores."""
+    return {c: node.components[c].stored[0] for c in COMPONENTS}
 
 
 def reference_select(lex, semantic_input, bonuses):
@@ -47,7 +50,7 @@ def reference_select(lex, semantic_input, bonuses):
     x = semantic_input.units.tolist()
     best = None
     for node in lex.nodes:
-        ov = sum(a * b for a, b in zip(x, node.truth["semantic"].units.tolist()))
+        ov = sum(a * b for a, b in zip(x, node.components["semantic"].stored[0].units.tolist()))
         bonus = bonuses.get(node.id, 0.0)
         score = min(Fraction(1), Fraction(max(0, ov), n) + exact_fraction(bonus))
         if best is None or score > best[1] or (score == best[1] and node.id < best[0].id):

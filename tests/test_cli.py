@@ -5,6 +5,7 @@ import stat
 import pytest
 
 from totsim import cli
+from totsim import scenarios as sc
 from totsim.cli import main
 from totsim.output import RECORDS_HEADER
 
@@ -118,8 +119,8 @@ class TestSimulate:
     @pytest.mark.parametrize("flip_rates", [[0.0, 1.0], [1.0, 0.0]])
     def test_every_summary_row_has_the_slot_columns_of_the_run(self, tmp_path, fmt, flip_rates):
         # Flip rate 1 negates the semantic input, so below a selection
-        # threshold of 0.9 that point selects no word and none of its
-        # records reports a slot; its row still carries the slot column.
+        # threshold of 0.9 that point selects no word; its NoAccess records
+        # report the slot as unmatched, and its row carries the slot column.
         raw = minimal_raw(sweep={"flip_rate": flip_rates})
         raw["lexicon"]["selection_threshold"] = 0.9
         raw["lexicon"]["slots"] = {"first_letter": [0, 1, 2]}
@@ -139,6 +140,28 @@ class TestSimulate:
         assert by_flip[1.0]["noaccess_rate"] == 1.0
         assert by_flip[1.0]["slot_first_letter_rate"] == 0.0
         assert by_flip[0.0]["slot_first_letter_rate"] == 1.0
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_no_access_records_name_every_declared_slot(self, tmp_path, fmt):
+        # The undamaged partial_information scenario at flip rate 1: every
+        # semantic input is the negated target, so no trial selects a word.
+        raw = sc.load("partial_information", n_trials=20, sweep={"flip_rate": [1.0]})
+        del raw["damage"]
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--format", fmt]) == 0
+        if fmt == "csv":
+            header, line = (out / "summary.csv").read_text().splitlines()
+            row = dict(zip(header.split(","), map(float, line.split(","))))
+        else:
+            records = json.loads((out / "records.json").read_text())["records"]
+            assert len(records) == 20
+            for record in records:
+                assert record["classification"] == "NoAccess"
+                assert record["partial_info"] == {"first_letter": False}
+            (row,) = json.loads((out / "summary.json").read_text())["summary"]
+        assert row["noaccess_rate"] == 1.0
+        assert row["slot_first_letter_rate"] == 0.0
 
     def test_bundle_files_get_the_mode_of_a_plain_file(self, tmp_path):
         cfg = write_config(tmp_path, minimal_raw())

@@ -7,7 +7,12 @@ import pytest
 
 from totsim.config import load_raw_config, normalized_dict, parse_config
 from totsim.errors import ConfigError
-from totsim.experiment import build_scenario_lexicon, materialize_bonuses
+from totsim.experiment import (
+    build_scenario_lexicon,
+    damaged_lexicon,
+    materialize_bonuses,
+    sweep_points,
+)
 from totsim.lexicon import COMPONENTS
 from totsim.patterns import SlotMap
 
@@ -475,12 +480,26 @@ class TestLexiconShape:
         built = []
         real = SlotMap.__post_init__
         monkeypatch.setattr(SlotMap, "__post_init__", lambda m: built.append(1) or real(m))
-        raw = minimal_raw()
+        raw = minimal_raw(
+            damage=[
+                {
+                    "word": "apple",
+                    "component": "phonological",
+                    "fraction": 0.5,
+                    "protected_slots": ["first_letter"],
+                }
+            ],
+            sweep={"d": [0.2, 0.5]},
+        )
         raw["lexicon"]["slots"] = {"first_letter": [0, 1, 2]}
         cfg, _ = parse_config(raw)
         lex = build_scenario_lexicon(cfg)
+        damaged = [damaged_lexicon(cfg, lex, point) for point in sweep_points(cfg)]
         assert len(built) == 1
-        assert lex.node_by_id("apple").slot_map is cfg.lexicon.slot_map
+        assert lex.slot_map is cfg.lexicon.slot_map
+        assert len(damaged) == 2
+        for each in damaged:
+            assert each is not lex and each.slot_map is cfg.lexicon.slot_map
 
 
 # A generated lexicon with every optional table in use: slots, protected

@@ -12,7 +12,7 @@ from totsim import parse_config, recall, run_trials, scenarios
 from totsim.lexicon import Lexicon
 from totsim.network import ComponentNetwork, train
 from totsim.patterns import floor_count, random_pattern
-from totsim.recall import RecallParams, recall_word
+from totsim.recall import Classification, RecallParams, recall_word
 
 from helpers import explicit_word, with_uniform_cue
 
@@ -83,7 +83,7 @@ def test_mask_count_uses_exact_completeness(monkeypatch, flips, bonus, expected)
     outcome = recall_word(
         lex, p.with_flipped(flips), params, default_rng(SeedSequence(5)), bonuses={"w": bonus}
     )
-    assert outcome.selected
+    assert outcome.classification is not Classification.NO_ACCESS
     assert counts == [expected] * 3
 
 

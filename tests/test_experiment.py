@@ -806,7 +806,7 @@ class TestScenarioLexicon:
         lex_b = build_scenario_lexicon(cfg)
         node_a, node_b = lex_a.node_by_id("target"), lex_b.node_by_id("target")
         assert node_a.metamemory_ref == node_b.metamemory_ref
-        assert node_a.metamemory_ref["phonological"] != node_a.truth["phonological"]
+        assert node_a.metamemory_ref["phonological"] != node_a.components["phonological"].stored[0]
 
     def test_damage_keyed_per_sweep_point(self):
         # The flip_rate axis leaves the damage plan as it is, so the two
@@ -939,7 +939,7 @@ class TestCsvRoundTrip:
             assert row["att_lex"] == record.att_lex
             assert row["att_phon"] == record.att_phon
             assert row["tot_strength"] == record.tot_strength
-            assert row["slot_first_letter"] == record.partial_info.get("first_letter", False)
+            assert row["slot_first_letter"] == record.partial_info["first_letter"]
             assert row["total_time_ms"] == round(record.total_time_ms, 3)
             assert row["seed_child"] == record.seed_child
 

@@ -234,8 +234,8 @@ LEXICONS = {
 
 def lexicon_digest(raw):
     """SHA-256 over the base lexicon and each sweep point's damaged one:
-    every word's id, and each component's weights, truth and metamemory
-    reference as int64 bytes."""
+    every word's id, and each component's weights, stored pattern and
+    metamemory reference as int64 bytes."""
     cfg, _ = parse_config(raw)
     base = build_scenario_lexicon(cfg)
     h = hashlib.sha256()
@@ -244,7 +244,7 @@ def lexicon_digest(raw):
             h.update(node.id.encode())
             for comp in COMPONENTS:
                 net = node.components[comp]
-                for array in (net.w_int, node.truth[comp].units, node.metamemory_ref[comp].units):
+                for array in (net.w_int, net.stored[0].units, node.metamemory_ref[comp].units):
                     h.update(np.ascontiguousarray(array, dtype=np.int64).tobytes())
     return h.hexdigest()
 
@@ -302,3 +302,26 @@ def test_generated_lexicon_bytes_are_pinned(fmt, tmp_path):
 def test_fixed_cue_bytes_are_pinned(fmt, tmp_path):
     fixed = {"fixed_cue_per_episode": True, "link_gain": 0.2}
     assert bundle("delayed_resolution.json", tmp_path, fmt, fixed) == FIXED_CUE[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(LEXICONS))
+def test_every_record_and_summary_row_names_the_declared_slots(name, fmt, tmp_path):
+    if name == "generated":
+        raw = dict(GENERATED_CONFIG)
+    else:
+        raw = json.loads((CONFIGS / name).read_text())
+    raw["n_trials"] = 5
+    declared = sorted(parse_config(raw)[0].lexicon.slot_map.names())
+    bundle_of(raw, tmp_path, fmt)
+    out = tmp_path / "out"
+    if fmt == "csv":
+        header = (out / "summary.csv").read_text().splitlines()[0].split(",")
+        columns = [header]
+    else:
+        records = json.loads((out / "records.json").read_text())["records"]
+        assert records and all(sorted(r["partial_info"]) == declared for r in records)
+        columns = [list(row) for row in json.loads((out / "summary.json").read_text())["summary"]]
+    want = [f"slot_{slot}_rate" for slot in declared]
+    for names in columns:
+        assert [c for c in names if c.startswith("slot_")] == want

@@ -20,12 +20,13 @@ from totsim.lexicon import (
     word_nodes,
 )
 from totsim.network import ComponentNetwork, train, train_each
-from totsim.patterns import BipolarPattern
+from totsim.patterns import BipolarPattern, SlotMap
 from totsim.recall import recall_word
 
 from helpers import (
     explicit_word,
     hamming,
+    learned,
     reference_generated_patterns,
     reference_select,
     with_uniform_cue,
@@ -34,7 +35,8 @@ from helpers import (
 
 
 def lexicon_of(spec, seed):
-    return Lexicon(word_nodes(spec, default_rng(SeedSequence(seed))), spec.selection_threshold)
+    nodes = word_nodes(spec, default_rng(SeedSequence(seed)))
+    return Lexicon(nodes, spec.selection_threshold, spec.slot_map)
 
 
 def explicit_lexicon(*specs, threshold=0.3, slots=None):
@@ -48,10 +50,10 @@ class TestBuildLexicon:
     def test_explicit_word_round_trip(self):
         lex = explicit_lexicon(word_spec("apple", "++-+--++-"))
         node = lex.node_by_id("apple")
-        assert node.truth["semantic"].to_text() == "++-+--++-"
-        assert node.metamemory_ref == node.truth
+        assert learned(node)["semantic"].to_text() == "++-+--++-"
+        assert node.metamemory_ref == learned(node)
         for comp in COMPONENTS:
-            truth = node.truth[comp].units
+            truth = learned(node)[comp].units
             assert np.array_equal(node.components[comp].retrieve_once(truth), truth)
 
     def test_generator_respects_min_distance(self):
@@ -65,7 +67,7 @@ class TestBuildLexicon:
         lex = lexicon_of(spec, 5)
         assert [n.id for n in lex.nodes] == ["w0", "w1", "w2"]
         for comp in COMPONENTS:
-            pats = [n.truth[comp] for n in lex.nodes]
+            pats = [learned(n)[comp] for n in lex.nodes]
             for i in range(3):
                 for j in range(i + 1, 3):
                     assert hamming(pats[i], pats[j]) >= 8
@@ -77,7 +79,7 @@ class TestBuildLexicon:
         a = lexicon_of(spec, 6)
         b = lexicon_of(spec, 6)
         for na, nb in zip(a.nodes, b.nodes):
-            assert na.truth == nb.truth
+            assert learned(na) == learned(nb)
 
     @given(st.integers(1, 40), st.integers(1, 12), st.integers(0, 4), st.integers(0, 2**32 - 1))
     def test_generation_matches_the_per_pair_loop(self, count, n, minimum, seed):
@@ -139,6 +141,13 @@ class TestBuildLexicon:
         with pytest.raises(DimensionError):
             Lexicon((a, b), 0.3)
 
+    def test_slot_map_of_the_wrong_length_rejected(self):
+        a = explicit_word("a", BipolarPattern.from_text("+++"))
+        with pytest.raises(DimensionError, match="slot map length"):
+            Lexicon((a,), 0.3, SlotMap(4, {"first_letter": (0, 1)}))
+        # Built without a slot map, a lexicon has no slots.
+        assert Lexicon((a,), 0.3).slot_map == SlotMap(3)
+
     def test_impossible_distance_rejected_by_the_spec(self):
         lengths = {"semantic": 12, "lexical": 9, "phonological": 15}
         with pytest.raises(ConfigError) as e:
@@ -156,8 +165,6 @@ class TestBuildLexicon:
         assert spec.word_ids() == ["w0", "w1", "w2"]
         assert spec.slot_map.length == 15
         assert spec.slot_map.slots == {"first_letter": (0, 1, 2)}
-        nodes = word_nodes(spec, default_rng(0))
-        assert all(node.slot_map is spec.slot_map for node in nodes)
         explicit = LexiconSpec(words=(word_spec("b", "+-+"), word_spec("a", "---")))
         assert explicit.word_ids() == ["b", "a"]
         assert explicit.has_word("a") and not explicit.has_word("w0")
@@ -169,11 +176,12 @@ def assert_trained_one_by_one(nodes, truths):
     truths given in node order."""
     assert len(nodes) == len(truths)
     for node, truth in zip(nodes, truths):
-        assert node.truth == truth and node.metamemory_ref == truth
+        assert learned(node) == truth and node.metamemory_ref == truth
         for comp in COMPONENTS:
-            net, pattern = node.components[comp], node.truth[comp]
+            net = node.components[comp]
+            (pattern,) = net.stored
             assert np.array_equal(net.w_int, train([pattern]).w_int)
-            assert net.stored == (pattern,) and net.stored[0] is pattern
+            assert node.metamemory_ref[comp] is pattern
             assert net.damage_fraction == 0.0 and net.mask == frozenset()
             assert not net.w_int.flags.writeable and not pattern.units.flags.writeable
 
@@ -259,7 +267,7 @@ class TestStackedBuild:
         )
         monkeypatch.setattr(BipolarPattern, "__init__", counted("pattern", BipolarPattern.__init__))
         lex = experiment.build_scenario_lexicon(cfg)
-        assert [node.truth for node in lex.nodes] == [node.truth for node in want.nodes]
+        assert [learned(node) for node in lex.nodes] == [learned(node) for node in want.nodes]
         assert counts == {"integers": 8, "network": 0, "pattern": 0}
 
 
@@ -476,7 +484,7 @@ class TestSelectionMatchesPerNodeLoop:
         calls = []
         real = lexicon_module.overlap
         monkeypatch.setattr(lexicon_module, "overlap", lambda *a: calls.append(1) or real(*a))
-        x = lex.node_by_id("w7").truth["semantic"]
+        x = learned(lex.node_by_id("w7"))["semantic"]
         assert lex.select_node(x)[0].id == "w7"
         assert lex.select_node(x, {"w8": 1.0, "w9": 0.1})[0].id == "w7"
         assert calls == [1, 1]  # one block call per selection, none per node
@@ -488,9 +496,9 @@ class TestCorruptMetamemory:
         node = corrupt_metamemory(
             lex.node_by_id("a"), "phonological", 1, default_rng(SeedSequence(8))
         )
-        assert hamming(node.metamemory_ref["phonological"], node.truth["phonological"]) == 1
-        assert node.metamemory_ref["semantic"] == node.truth["semantic"]
-        truth = node.truth["phonological"].units
+        assert hamming(node.metamemory_ref["phonological"], learned(node)["phonological"]) == 1
+        assert node.metamemory_ref["semantic"] == learned(node)["semantic"]
+        truth = learned(node)["phonological"].units
         assert np.array_equal(node.components["phonological"].retrieve_once(truth), truth)
 
     def test_invalid_flip_count(self):

@@ -37,7 +37,7 @@ def test_output_schema_quotes_the_written_headers():
     section = README.read_text().split("## Output schema", 1)[1].split("\n## ", 1)[0]
     records, summary = re.findall(r"```\n(.*?)\n```", section, re.S)
     assert records == RECORDS_HEADER
-    # The slot columns follow these, one per slot the run reports.
+    # The slot columns follow these, one per slot the lexicon declares.
     assert summary.split(",") == [f.name for f in fields(SummaryRow) if f.name != "slot_rates"]
 
 

@@ -10,7 +10,7 @@ from totsim import recall
 from totsim.errors import DimensionError, ParameterError
 from totsim.lexicon import COMPONENTS, Lexicon, corrupt_metamemory
 from totsim.network import train
-from totsim.patterns import BipolarPattern, random_pattern
+from totsim.patterns import BipolarPattern, SlotMap, random_pattern
 from totsim.recall import (
     Classification,
     ComponentOutcome,
@@ -224,7 +224,7 @@ class TestRecallWord:
         lex = single_word_lexicon()
         out = recall_word(lex, P9, self.perfect_params(), default_rng(SeedSequence(6)))
         assert out.classification is Classification.RESOLVED
-        assert out.selected and out.completeness == 1.0
+        assert out.completeness == 1.0
         assert all(out.components[c].attempts == 1 for c in COMPONENTS)
         assert out.total_time_ms == 3 * chronometry(1, 1.0, 10.0)
         assert out.tot_strength == 1.0
@@ -235,9 +235,15 @@ class TestRecallWord:
             lex, P9.negate(), self.perfect_params(), default_rng(SeedSequence(7))
         )
         assert out.classification is Classification.NO_ACCESS
-        assert not out.selected
         assert all(out.components[c].attempts == 0 for c in COMPONENTS)
         assert out.total_time_ms == 0.0
+
+    def test_no_access_reports_every_declared_slot(self):
+        slots = SlotMap(9, {"first_letter": (0, 1, 2)})
+        lex = Lexicon((explicit_word("target", P9),), 0.3, slots)
+        out = recall_word(lex, P9.negate(), self.perfect_params(), default_rng(SeedSequence(7)))
+        assert out.classification is Classification.NO_ACCESS
+        assert out.partial_info == {"first_letter": False}
 
     def test_cascade_aborts_after_failed_component(self):
         # Unreachable semantic reference: lexical/phonological never run.
@@ -325,8 +331,8 @@ class TestRecallWord:
         assert len(calls) == reached
 
     def test_partial_info_reported_from_best_output(self):
-        node = explicit_word("target", P9, slots={"first_letter": (0, 1, 2)})
-        lex = Lexicon((node,), 0.3)
+        slots = SlotMap(9, {"first_letter": (0, 1, 2)})
+        lex = Lexicon((explicit_word("target", P9),), 0.3, slots)
         out = recall_word(
             lex, P9, with_uniform_cue(1.0), default_rng(SeedSequence(13))
         )
@@ -352,9 +358,10 @@ class TestRecallWord:
         resolved_all = all(out.components[c].resolved for c in COMPONENTS)
         assert (out.classification is Classification.RESOLVED) == resolved_all
         assert (out.classification is Classification.TOT) == (
-            out.selected and not out.components["phonological"].resolved
+            out.classification is not Classification.NO_ACCESS
+            and not out.components["phonological"].resolved
         )
-        assert (out.classification is Classification.NO_ACCESS) == (not out.selected)
+        assert (out.classification is Classification.NO_ACCESS) == (out.completeness == 0.0)
         assert out.total_time_ms == sum(
             chronometry(out.components[c].attempts, 1.0, 10.0) for c in COMPONENTS
         )

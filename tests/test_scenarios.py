@@ -48,7 +48,7 @@ class TestScenarioLibrary:
         )
         cfg, _ = parse_config(raw)
         lex = build_scenario_lexicon(cfg)
-        truth = lex.node_by_id("target").truth["semantic"]
+        truth = lex.node_by_id("target").components["semantic"].stored[0]
 
         def selected(trial):
             semantic_input = flip_by_rate(

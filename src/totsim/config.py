@@ -149,7 +149,7 @@ def _slots(value, path: str) -> dict[str, tuple[int, ...]]:
     slots = {}
     for name, indices in value.items():
         slot_path = _join(path, name)
-        # The summary names a column after each slot.
+        # The records and summary CSVs name a column after each slot.
         if not (isinstance(name, str) and _SLOT_NAME.fullmatch(name)):
             raise ConfigError(slot_path, "slot names use only letters, digits and '_'")
         if not isinstance(indices, list) or not indices:

@@ -121,7 +121,11 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One emitted row: one recall episode of one trial at one sweep point."""
+    """One emitted row: one recall episode of one trial at one sweep point.
+
+    Its fields, in order, are the records CSV's columns, with `partial_info`
+    written as one flag column per declared slot (`output.record_columns`).
+    """
 
     trial: int
     sweep_q: float
@@ -262,7 +266,7 @@ def _outcome_to_record(
         att_lex=outcome.components["lexical"].attempts,
         att_phon=outcome.components["phonological"].attempts,
         tot_strength=outcome.tot_strength,
-        partial_info=dict(outcome.partial_info),
+        partial_info=outcome.partial_info,
         total_time_ms=outcome.total_time_ms,
         seed_child=f"{cfg.seed}-{point.index}-{trial}",
     )

@@ -1,9 +1,11 @@
 """Deterministic emission of trial records, summaries, and run metadata.
 
-The records CSV schema is fixed and versioned: exact header, booleans as
-0/1, times as decimal milliseconds with three fractional digits. Files are
-written to a temporary name and renamed, so failures never leave partial
-output behind.
+The records CSV has one column per `TrialRecord` field, with one flag
+column per declared slot in place of `partial_info` (`record_columns`);
+`CSV_SCHEMA_VERSION` versions that rule. Booleans are 0/1, times decimal
+milliseconds with three fractional digits, other floats shortest
+round-trip decimals. Files are written to a temporary name and renamed, so
+failures never leave partial output behind.
 """
 
 from __future__ import annotations
@@ -12,13 +14,13 @@ import json
 import os
 import secrets
 from dataclasses import asdict
-from operator import attrgetter
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import ParameterError
 from .experiment import STREAM_VERSION, SummaryRow, TrialRecord
 
-CSV_SCHEMA_VERSION = 1
+CSV_SCHEMA_VERSION = 2
 
 
 def fmt_float(x: float) -> str:
@@ -38,37 +40,24 @@ def parse_flag(text: str) -> bool:
     return bool(int(text))
 
 
-# The records CSV, column by column: (name, parse type, format). A
-# `slot_<name>` column reads that slot of `partial_info`; every other column
-# is the `TrialRecord` field of its name. The CSV leaves out every slot but
-# `first_letter`; the JSON records carry them.
-RECORD_COLUMNS = (
-    ("trial", int, str),
-    ("sweep_q", float, fmt_float),
-    ("sweep_d", float, fmt_float),
-    ("flip_rate", float, fmt_float),
-    ("episode", int, str),
-    ("classification", str, str),
-    ("sel_completeness", float, fmt_float),
-    ("att_sem", int, str),
-    ("att_lex", int, str),
-    ("att_phon", int, str),
-    ("tot_strength", float, fmt_float),
-    ("slot_first_letter", parse_flag, fmt_flag),
-    ("total_time_ms", float, fmt_ms),
-    ("seed_child", str, str),
-)
-RECORDS_HEADER = ",".join(name for name, _, _ in RECORD_COLUMNS)
+# How a cell of a `TrialRecord` field is written, by the field's type; the
+# type itself parses it back.
+_FORMAT = {int: str, float: fmt_float, str: str}
 
 
-def _cell_getter(name: str):
-    if name.startswith("slot_"):
-        slot = name[len("slot_"):]
-        return lambda record: record.partial_info.get(slot, False)
-    return attrgetter(name)
-
-
-_RECORD_CELLS = tuple((_cell_getter(name), fmt) for name, _, fmt in RECORD_COLUMNS)
+def record_columns(slots) -> list[tuple]:
+    """The records CSV columns, as (name, parse, format), of a run whose
+    lexicon declares `slots`: one per `TrialRecord` field, in field order,
+    with `partial_info` expanded in place into one `slot_<name>` flag column
+    per slot, in name order. `total_time_ms` is written with three
+    decimals; any other field by its type."""
+    columns = []
+    for name, kind in get_type_hints(TrialRecord).items():
+        if name == "partial_info":
+            columns += [(f"slot_{slot}", parse_flag, fmt_flag) for slot in sorted(slots)]
+        else:
+            columns.append((name, kind, fmt_ms if name == "total_time_ms" else _FORMAT[kind]))
+    return columns
 
 
 def _atomic_write(path, text: str) -> None:
@@ -83,35 +72,43 @@ def _atomic_write(path, text: str) -> None:
         raise
 
 
-def record_row(record: TrialRecord) -> str:
-    return ",".join([fmt(get(record)) for get, fmt in _RECORD_CELLS])
-
-
 def write_records_csv(records: list[TrialRecord], path) -> None:
-    lines = [RECORDS_HEADER]
-    lines.extend(record_row(r) for r in records)
+    """One row per record under `record_columns`; the slots are those every
+    record names."""
+    slots = sorted(records[0].partial_info) if records else []
+    columns = record_columns(slots)
+    formats = [fmt for _, _, fmt in columns]
+    at = list(get_type_hints(TrialRecord)).index("partial_info")
+    lines = [",".join(name for name, _, _ in columns)]
+    for record in records:
+        values = list(vars(record).values())  # set by __init__ in field order
+        values[at:at + 1] = [values[at][slot] for slot in slots]
+        lines.append(",".join([fmt(v) for fmt, v in zip(formats, values)]))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_record_rows(path) -> list[dict]:
     """Parse a records CSV back into typed row dicts (schema-checked).
 
-    A cell is read only in the form its column writes: it must parse, and
-    formatting the parsed value must give the cell back, so `"2"` is no
-    flag and `"0.50"` no float. Anything else raises ParameterError naming
-    the row (the first record is row 0).
+    The header must be `record_columns` of the slots it names, so slot
+    columns stand in name order, once each, where `partial_info` stands,
+    and no field column is missing. A cell is read only in the form its
+    column writes: it must parse, and formatting the parsed value must give
+    the cell back, so `"2"` is no flag and `"0.50"` no float. Anything else
+    raises ParameterError naming the row (the first record is row 0).
     """
-    text = Path(path).read_text()
-    lines = text.splitlines()
-    if not lines or lines[0] != RECORDS_HEADER:
+    lines = Path(path).read_text().splitlines()
+    header = lines[0].split(",") if lines else []
+    columns = record_columns({name[len("slot_"):] for name in header if name.startswith("slot_")})
+    if header != [name for name, _, _ in columns]:
         raise ParameterError(f"unexpected records header in {path}")
     rows = []
     for i, line in enumerate(lines[1:]):
         values = line.split(",")
-        if len(values) != len(RECORD_COLUMNS):
+        if len(values) != len(columns):
             raise ParameterError(f"malformed records row {i}: {line!r}")
         row = {}
-        for (name, parse, fmt), cell in zip(RECORD_COLUMNS, values):
+        for (name, parse, fmt), cell in zip(columns, values):
             try:
                 row[name] = parse(cell)
                 written = fmt(row[name]) == cell

@@ -295,8 +295,10 @@ def recall_word(
 
     `partial_info` names every slot of `lex.slot_map`: a slot matches when
     the phonological best output equals the reference on it, and is False
-    when the phonological loop never ran, NoAccess included.
+    when the phonological loop never ran, NoAccess included. Each outcome
+    gets a dict of its own, which its record keeps.
     """
+    partial = dict.fromkeys(lex.slot_map.names(), False)
     selection = lex.select_node(semantic_input, bonuses)
     if selection is None:
         return RecallOutcome(
@@ -304,7 +306,7 @@ def recall_word(
             components=dict.fromkeys(COMPONENTS, SKIPPED),
             classification=Classification.NO_ACCESS,
             tot_strength=0.0,
-            partial_info=dict.fromkeys(lex.slot_map.names(), False),
+            partial_info=partial,
             total_time_ms=0.0,
         )
     node, completeness = selection
@@ -333,8 +335,6 @@ def recall_word(
         partial = slot_match(
             phon.best_output, node.metamemory_ref["phonological"].units, lex.slot_map
         )
-    else:
-        partial = dict.fromkeys(lex.slot_map.names(), False)
     return RecallOutcome(
         completeness=float(completeness),
         components=outcomes,

@@ -21,7 +21,7 @@ from totsim.experiment import (
     validate_record_rows,
 )
 from totsim.network import train
-from totsim.output import RECORDS_HEADER, read_record_rows, record_row, write_records_csv
+from totsim.output import read_record_rows, write_records_csv
 from totsim.patterns import BipolarPattern, random_pattern
 from totsim.recall import Classification, RecallParams, chronometry, recall_component, recall_word
 from totsim.lexicon import Lexicon, corrupt_metamemory
@@ -119,7 +119,7 @@ def test_criterion_07_geometric_attempts():
     _verdict(7, f"attempts are geometric(1/2): mean {mean:.3f}, max CDF deviation {dev:.4f}", ok)
 
 
-def test_criterion_08_chronometry():
+def test_criterion_08_chronometry(tmp_path):
     ok = chronometry(3, 1.0, 10.0) == 23.0
     record = TrialRecord(
         trial=0,
@@ -137,7 +137,9 @@ def test_criterion_08_chronometry():
         total_time_ms=chronometry(3, 1.0, 10.0),
         seed_child="0-0-0",
     )
-    row = dict(zip(RECORDS_HEADER.split(","), record_row(record).split(",")))
+    write_records_csv([record], tmp_path / "records.csv")
+    header, line = (tmp_path / "records.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
     ok &= row["total_time_ms"] == "23.000"
     for k in range(1, 10):
         ok &= (

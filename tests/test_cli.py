@@ -7,7 +7,9 @@ import pytest
 from totsim import cli
 from totsim import scenarios as sc
 from totsim.cli import main
-from totsim.output import RECORDS_HEADER
+from totsim.config import parse_config
+from totsim.experiment import run_trials
+from totsim.output import read_record_rows, record_columns
 
 
 def write_config(tmp_path, raw, name="scenario.json"):
@@ -46,7 +48,8 @@ class TestSimulate:
         assert (out / "summary.csv").exists()
         assert (out / "run_meta.json").exists()
         lines = (out / "records.csv").read_text().splitlines()
-        assert lines[0] == RECORDS_HEADER
+        # The lexicon declares no slot, so the header has no slot column.
+        assert lines[0] == ",".join(name for name, _, _ in record_columns(()))
         assert len(lines) == 21
 
     def test_metadata_reflects_resolved_config(self, tmp_path):
@@ -162,6 +165,31 @@ class TestSimulate:
             (row,) = json.loads((out / "summary.json").read_text())["summary"]
         assert row["noaccess_rate"] == 1.0
         assert row["slot_first_letter_rate"] == 0.0
+
+    def test_records_have_one_column_per_declared_slot(self, tmp_path):
+        # Two slots, declared out of name order. Flip rate 1 selects no word,
+        # so that point's records are NoAccess.
+        raw = sc.load("partial_information", n_trials=30, sweep={"flip_rate": [0.0, 1.0]})
+        raw["lexicon"]["slots"] = {"last_letter": [12, 13, 14], "first_letter": [0, 1, 2]}
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        names = (out / "records.csv").read_text().splitlines()[0].split(",")
+        at = names.index("tot_strength")
+        assert names[at:at + 4] == [
+            "tot_strength", "slot_first_letter", "slot_last_letter", "total_time_ms"
+        ]
+        rows = read_record_rows(out / "records.csv")
+        records = run_trials(parse_config(raw)[0])
+        assert len(rows) == len(records) == 60
+        for row, record in zip(rows, records):
+            assert row["slot_first_letter"] == record.partial_info["first_letter"]
+            assert row["slot_last_letter"] == record.partial_info["last_letter"]
+        no_access = [row for row in rows if row["classification"] == "NoAccess"]
+        assert len(no_access) == 30
+        assert not any(row["slot_first_letter"] or row["slot_last_letter"] for row in no_access)
+        # The two columns are not one flag written twice.
+        assert any(row["slot_first_letter"] != row["slot_last_letter"] for row in rows)
 
     def test_bundle_files_get_the_mode_of_a_plain_file(self, tmp_path):
         cfg = write_config(tmp_path, minimal_raw())

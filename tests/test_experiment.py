@@ -26,7 +26,7 @@ from totsim.experiment import (
 )
 from totsim.lexicon import COMPONENTS
 from totsim.network import ComponentNetwork, train
-from totsim.output import record_row, read_record_rows, write_records_csv
+from totsim.output import read_record_rows, write_records_csv
 from totsim.patterns import BipolarPattern, random_pattern
 from totsim.recall import RecallParams, recall_component
 
@@ -55,6 +55,16 @@ def single_word_cfg(**overrides):
     raw.update(overrides)
     cfg, _ = parse_config(raw)
     return cfg
+
+
+def slotted_cfg(slots=None, **overrides):
+    """`single_word_cfg` whose lexicon declares `slots` (a first-letter slot
+    by default)."""
+    lexicon = {
+        "words": [{"id": "target", **dict.fromkeys(COMPONENTS, P9.to_text())}],
+        "slots": slots or {"first_letter": [0, 1, 2]},
+    }
+    return single_word_cfg(lexicon=lexicon, **overrides)
 
 
 class TestSweepPoints:
@@ -860,11 +870,11 @@ class TestRecordRow:
         records = run_trials(single_word_cfg(n_trials=2))
         assert [r.seed_child for r in records] == ["11-0-0", "11-0-1"]
 
-    def test_row_shape_matches_header(self):
-        from totsim.output import RECORDS_HEADER
-
-        records = run_trials(single_word_cfg(n_trials=1))
-        assert len(record_row(records[0]).split(",")) == len(RECORDS_HEADER.split(","))
+    def test_row_shape_matches_header(self, tmp_path):
+        path = tmp_path / "records.csv"
+        write_records_csv(run_trials(single_word_cfg(n_trials=1)), path)
+        header, *lines = path.read_text().splitlines()
+        assert lines and all(len(line.split(",")) == len(header.split(",")) for line in lines)
 
 
 class TestPerComponentLengths:
@@ -901,6 +911,14 @@ class TestSweepCompleteness:
         assert len(records) == 3 * 3 * 2
         coords = {(r.sweep_q, r.sweep_d) for r in records}
         assert coords == {(q, d) for q in (0.0, 0.5, 1.0) for d in (0.0, 0.25)}
+
+
+# The records CSV's field columns before and after the slot columns.
+FIELDS_BEFORE_SLOTS = (
+    "trial,sweep_q,sweep_d,flip_rate,episode,classification,"
+    "sel_completeness,att_sem,att_lex,att_phon,tot_strength"
+)
+FIELDS_AFTER_SLOTS = "total_time_ms,seed_child"
 
 
 class TestCsvRoundTrip:
@@ -956,7 +974,7 @@ class TestCsvRoundTrip:
     )
     def test_a_cell_not_in_its_written_form_is_rejected(self, tmp_path, column, cell):
         path = tmp_path / "records.csv"
-        write_records_csv(run_trials(single_word_cfg(n_trials=3)), path)
+        write_records_csv(run_trials(slotted_cfg(n_trials=3)), path)
         lines = path.read_text().splitlines()
         cells = lines[2].split(",")
         cells[lines[0].split(",").index(column)] = cell
@@ -965,6 +983,30 @@ class TestCsvRoundTrip:
         with pytest.raises(ParameterError) as e:
             read_record_rows(path)
         assert str(e.value) == f"row 1: {column} cell {cell!r} is not in its written form"
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            f"{FIELDS_BEFORE_SLOTS},slot_last_letter,slot_first_letter,{FIELDS_AFTER_SLOTS}",
+            f"{FIELDS_BEFORE_SLOTS},slot_first_letter,slot_first_letter,{FIELDS_AFTER_SLOTS}",
+            FIELDS_BEFORE_SLOTS.replace("trial,", "trial,slot_first_letter,")
+            + f",slot_last_letter,{FIELDS_AFTER_SLOTS}",
+            FIELDS_BEFORE_SLOTS.replace("episode,", "")
+            + f",slot_first_letter,slot_last_letter,{FIELDS_AFTER_SLOTS}",
+        ],
+        ids=["slots_out_of_order", "slot_repeated", "slot_misplaced", "field_missing"],
+    )
+    def test_a_malformed_header_is_rejected(self, tmp_path, header):
+        path = tmp_path / "records.csv"
+        slots = {"first_letter": [0, 1, 2], "last_letter": [6, 7, 8]}
+        write_records_csv(run_trials(slotted_cfg(slots, n_trials=3)), path)
+        written, *lines = path.read_text().splitlines()
+        assert written == (
+            f"{FIELDS_BEFORE_SLOTS},slot_first_letter,slot_last_letter,{FIELDS_AFTER_SLOTS}"
+        )
+        path.write_text("\n".join([header, *lines]) + "\n")
+        with pytest.raises(ParameterError, match="unexpected records header"):
+            read_record_rows(path)
 
     def test_flip_rate_points_are_told_apart(self, tmp_path):
         cfg = single_word_cfg(n_trials=3, sweep={"flip_rate": [0.1, 0.2]})

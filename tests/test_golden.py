@@ -18,6 +18,19 @@ damage streams did not change: `LEXICONS` pins what they build, with
 digests taken at stream version 2. The history below is that of the
 version 2 digests.
 
+Records schema version 2 (`output.CSV_SCHEMA_VERSION`) re-pinned 43
+digests once, for two reasons and nothing else (checked row by row and
+line by line against the schema version 1 bundles):
+- records.csv has one `slot_<name>` column per declared slot, derived from
+  `TrialRecord`, so it lost the `slot_first_letter` column, always 0, on
+  the slot-free lexicons: the records.csv of the six slot-free shipped
+  configs and of `FIXED_CUE`. Every other cell is unchanged; the
+  records.csv of partial_information and `GENERATED`, which declare
+  `first_letter`, did not move.
+- `csv_schema_version` in every run_meta.json and `schema_version` in
+  every records.json and summary.json went from 1 to 2, the one line that
+  changed in each. No summary.csv and no `LEXICONS` digest moved.
+
 The run_meta.json digests were re-pinned twice, each time for one change
 and nothing else:
 - The inert word `frequency` field left the config schema: each
@@ -81,38 +94,38 @@ N_TRIALS = 12
 
 GOLDEN = {
     "cue_sweep.json": {
-        "records.csv": "1660bbc0fae7b076929636027a06ee5b8d43162dcbdc24605496d7588682470f",
-        "run_meta.json": "134d3483bd0f0d73290e3a3a3a61cac4252c1c3061b17bb1314e0d55c788ed4a",
+        "records.csv": "ad5717646807255f91e246df421cf3533f6012a1a18c03a608efed82da9d2a60",
+        "run_meta.json": "4f2d1dbd87389d31ba889701eb80c9e0faccf56fc16f159e614a4c397a83c20e",
         "summary.csv": "22ec9272d69e7cde565964e5a881640cc95e7e0731ce7dae9349cebefe819c4e",
     },
     "damage_sweep.json": {
-        "records.csv": "916a879ee361f48fc54e94ec052273bc022ed012f9a03f31692f4c235027be8e",
-        "run_meta.json": "1a22f1bc13781cd90c364a2826ca3673ec6c8c464c2a616bb30f60eef229952d",
+        "records.csv": "e82e169a824df6452c1599894c9c69257d86c0358549e648919e24e844054c90",
+        "run_meta.json": "1ac58a9e34279905d9bda46614aa81f479b36536b4b1d50c08868e6adc5d215a",
         "summary.csv": "a4999229e7d95d0a6521e63c133d55563007b89100d05863c05d20c352ce74a1",
     },
     "delayed_resolution.json": {
-        "records.csv": "a7855344b76a1fb117a331458381ec0f91bb79cd25c552f4d4b608b69e94ed97",
-        "run_meta.json": "d1d5b1ed9afad2bd5ff04de2eef5ed95c5eaec0604e91e7a4bf2ade3da30eaed",
+        "records.csv": "64316c0e48745e8421d2b56f7648ac079c4ca46827d2afbc739b030ee07d581e",
+        "run_meta.json": "f222b8a16fc20ea5c89ee20429f8371ecc3f1783ed5ba62260875ea8bbc736c1",
         "summary.csv": "8708a7f33f8dbdc2649b249e40e14b851a55a8db2dd5e2a04a98d7016b28e968",
     },
     "free_recall.json": {
-        "records.csv": "2fb110ad4394c2dddfe515e49b5b943c23b6afe74d4071a70e97e35c7fff32cf",
-        "run_meta.json": "3f6029c8eb1904edec06bfbd52b4a0536edc623a4df197f4a3ef5297ba17ff83",
+        "records.csv": "6cc31a4431a31fd87a656052dbe5ea7f977ba8ecd953106a8acaeec42041fb49",
+        "run_meta.json": "a3a4d4c4148cbe50c6bd523c9952ecee02d82ea04ee89bb5b6d1a846fb3f597e",
         "summary.csv": "c3a852dbf720b650b824ed52711102ceab6cbeab0c78ffb80c07285968ce357c",
     },
     "illusory_tot.json": {
-        "records.csv": "9a54365c4160cce68c12833fc86170126d2f7b3b2d39cea60f89bc4d22bb745f",
-        "run_meta.json": "1e4b1efab53fb738f1b00e41db4e2bbfc6f6ce943d9eeaf98e8f3b95ea34a0e5",
+        "records.csv": "de48730e14fc7f1c97b4327360a3a0ea9094e4f2456f47507728b9214cc57586",
+        "run_meta.json": "b2ecf1b66e3794bbf92405af27598442682aa773a95f30cee9354193134be15c",
         "summary.csv": "1a0961d20fbc3bb4d3a5404d70e898f77c4bffb6ac0ae860377b5fe134570359",
     },
     "partial_information.json": {
         "records.csv": "f359cc282110596cab929e376391c6fc0228e6a9d625d6fb0c6d0766ea62d04b",
-        "run_meta.json": "edaeaa8e8a98458ac2936e08325a0c849abdfd5a4e7d4191a1cd48b03b53228e",
+        "run_meta.json": "1af2b2e887a6b4d429c1de6a32831e9b093de05e35a828be9e4526f4dff1eb7c",
         "summary.csv": "4686922b575bf0618132bfad3fb5ac380cddd8129359f9e0bfa09343c4903ce3",
     },
     "priming_interloper.json": {
-        "records.csv": "6f8a6aeae6a2e0a2e769a65dcdf8be67200de63f4a6cae435859f883ac642bdf",
-        "run_meta.json": "e49b614baa4dd8c05cf1f6734951cfb6a9bedaed49d75b3b8252d03c02528bd0",
+        "records.csv": "8d9426216267925454445fd7d4a36639dc9ad4edb658fbdd158a83175ea1e8d6",
+        "run_meta.json": "d0c496480e693735bbea482a42ca7993c892844678ca717892013603f37e65ca",
         "summary.csv": "6667be8ddb4850e11cc96418ae09437de21bccec4e48f3e224a022fbcc4e9b07",
     },
 }
@@ -121,39 +134,39 @@ GOLDEN = {
 # written from the record and summary dataclasses, field by field.
 GOLDEN_JSON = {
     "cue_sweep.json": {
-        "records.json": "b0750f38711668df77573c457cbb70c702860fc98d9f8ceaf6c7b3d27f6643ff",
-        "run_meta.json": "083c44e4d16f8ac90fff6fb1765b454526ccc2ea035a624fbef14c408d1ef3f5",
-        "summary.json": "f0cb08500df6752d2f159c53b4239ef39155c58b9b4c1d6342c540d30d91d0dd",
+        "records.json": "e5b59684a534998e879a1ebfb81c415f847aba128bdd676e136be1d2b2dfc972",
+        "run_meta.json": "4c2c1f46fba2765ca91c1db9c2371af3386aa7fea262bb1564d9326ec36e2839",
+        "summary.json": "5d865c93478509d49ae7eed47017c876db2e67e6e83d0d6d57440f613d7c94c5",
     },
     "damage_sweep.json": {
-        "records.json": "f71fcfff2b398cc9d413aac578c130064d36e37a12b281f0a53f08ba5fc1890b",
-        "run_meta.json": "b632fd7fe0bc6e108174415502a54e3755bbc7c890759ce38e516420982fdba1",
-        "summary.json": "32f74da580eb61123caf55681efadc6ad6e2b463f63dc03fed35c4762d542a15",
+        "records.json": "5d69b9534f64f4d1ed89236a2bb55025d466644351cfe7971a75a453eeda3a39",
+        "run_meta.json": "216a2c5cbf62fbeadab926ca5760c41841dcae0f7b50b2e92f931061f3f5c821",
+        "summary.json": "b7c249a2d9ed5de3101ccc4936d64876d5e33af9eb7f4589d0588f6396fffc52",
     },
     "delayed_resolution.json": {
-        "records.json": "f23902399e169825c4ab7d9336cae2c195597f3e9e8d3e031ba2ecaf053006be",
-        "run_meta.json": "7702632220abebae77ddb46be3eb38aab16dd2b9d4d3cebc9441f2037db2f63f",
-        "summary.json": "d178617e2fee4b91c637b79f660ac8cda3fc967c123f345852e5c82609b746cf",
+        "records.json": "f1fb7bf33f0e0c4a738e05f2beefce164833c48218582991a3aabb20536da262",
+        "run_meta.json": "44b8dbf331281b7d34b525dab4fed5eaa20587fdedd23826ff9047439c798999",
+        "summary.json": "a386db08a408131a3a009209e7023277083b2995f48e9042ba12bb9f501fbc5c",
     },
     "free_recall.json": {
-        "records.json": "936a494f112784ed05913219463d4fc562406968bb6dfb884f57553b54b5a658",
-        "run_meta.json": "b365e4d5ae626438bb627ffcc4c6e1b3e37519f41047a76a85f4081d65d5dda1",
-        "summary.json": "259fc18df1a52e4d5d717dc68558642dfe537e06fdf4e9887a4291f86807d4b4",
+        "records.json": "aad0b0235a4deb979244db786e71ba6ffade576d533c586a96f037b2dc8c5bb9",
+        "run_meta.json": "d9b1cdaaa3e1d2047b19a19f3e394ebccc32dd68aa8fa00590a7897c7fefd480",
+        "summary.json": "f986bd9bd2afe3fc9586f87d83c8a42351104e82f59cfb911f0e888acf6cb282",
     },
     "illusory_tot.json": {
-        "records.json": "aeae89f69fdd7e3e87f4799897bba1c948eff34fa13084ef528e048198b497c1",
-        "run_meta.json": "5af1ddf3af0dd4c50911d31bad768dbaa630247d30a266bf457f6e17cdb68ee0",
-        "summary.json": "9d23db0a9a34ba0b5b4eddeb04e37a7d4bc889e4c76e3780d2ce0dec2b6f84db",
+        "records.json": "8dc32a271f9f19ef2fd84a677ee21a65aeee73b00f2cabf80ef4637238869018",
+        "run_meta.json": "6284d550626b2b12d8926da2a4e9281fcc9a5b668a01580af06562a30573f3ce",
+        "summary.json": "151275c7494b0359bbbac914dc2700dc633552825d6202385ffc37e5c068a345",
     },
     "partial_information.json": {
-        "records.json": "8899d2e3eb56731919b463cad418392289bc82d061cb9b605635d200a3cae048",
-        "run_meta.json": "481b36c1f4bd3e261aa4c04b978dbfd785aa69893250894da910d9eb0ce6b726",
-        "summary.json": "efdd05dee64ba4744460c68494a55535f63007e8cf32e8f32332d2a0b9f46998",
+        "records.json": "4a996477d9c60a8125e84597e6385e1f1c94f02c611cba4e9dfe898fe77c6a81",
+        "run_meta.json": "0dbe4fbe29ddeb2b25c435338c3a7b97f7837d670d1702e9088c427700f8e842",
+        "summary.json": "78bc9f34459b1b9d86f3880e41cb121b93fce381100a1a35b54be3e22435bf14",
     },
     "priming_interloper.json": {
-        "records.json": "70d34a26b2f8a34f5706347c05d6e5bb21a8520c549958b0bee32d2a09dc4165",
-        "run_meta.json": "a861c7b41441d9500cb33c4950057eecd432a629ebb57d0a6da9acb0594a6939",
-        "summary.json": "a75d143832f237d6ac0935a82155143bf05e335cef8a40fd3f4c5e7261203ac2",
+        "records.json": "0f8b9d7337cb51f710be1aeff7bde764aad2d1b5b611749fa1573c82fe8feb86",
+        "run_meta.json": "58c7c82f0a90721b7ef1f9996c222c55372e5840a5e6dc66727391bea522489c",
+        "summary.json": "5c16bce75e0c2c5046d200cdd51ddef5b07ece13ac4a0847cc753217a152c00f",
     },
 }
 
@@ -191,26 +204,26 @@ GENERATED_CONFIG = {
 GENERATED = {
     "csv": {
         "records.csv": "d00089f45960fa371545837cb9396b90157a9a91f71451d816d8127a1fc79c70",
-        "run_meta.json": "101152cce998900bcb9bf3455967f80d292a021bd834e173e8d1808e124494f8",
+        "run_meta.json": "a6755764ba88f5ec1db9c118db5565254d875b7beea7a59f8711b00d7ad9d3f6",
         "summary.csv": "626f60cb320bfef2c3b7aecc3d07fd3ff7b756220931afdf076fdd1542891c6f",
     },
     "json": {
-        "records.json": "736ad705c7f906a4eb3860d26929cae049d625231ecec6e9df7ff42e6887f123",
-        "run_meta.json": "bbb9bc9057b7e0ebaf91da7b587c1891dc82c6170325af4bdd45fc7b5e188fd1",
-        "summary.json": "be99464c144907f4c8882d4e84d9c89d3cdcfb39cb49de01d9981c1d12b12e88",
+        "records.json": "7a9c7f5aa7eeab56aaa3e67681cbb347bee25c85af48eab7d3a281b5b6dfc882",
+        "run_meta.json": "b7c3c1a95e0a0e44f0e4adde0b7b2f3be8fba587b23c31aa1cc28e360290018a",
+        "summary.json": "bd78ef99b6e57b8e8e0e44f9e326303f5213b6addef69f31826eb255d29315d4",
     },
 }
 
 FIXED_CUE = {
     "csv": {
-        "records.csv": "e1bb8d97e66071457b7b75c0939b55fde944403d9e4d207a24e1bdfb44c69579",
-        "run_meta.json": "6a117558acf676151fcf04051da0d303d5ae1bccff2fa7ad232c37d3b4f2ccd2",
+        "records.csv": "b5bb46c054c2bac421331007ab34722905c5c6c5e91340c778c302a1862915f5",
+        "run_meta.json": "5aa40f2c494baeb0773547a7c240b679a0725af9350a7a1a836905f383e56365",
         "summary.csv": "ce17e705708f43f9a517ef3963ad75e99c4ac6d8e581eb9046fb49ad72b9ce9b",
     },
     "json": {
-        "records.json": "a7a4d0e4027a4aa2f2190d81e8b2a0d249ac542416dd2d3c9aa8124a7d516a46",
-        "run_meta.json": "6d17f4e4545f5d0a4866ec2849c6a130680b51ce146e011024f14b34d9705e0c",
-        "summary.json": "f136553b127643cfec966e491583b7e7f29b432cfa85a4b58868c77143e8d19f",
+        "records.json": "2c08701f8a6cfdb23ca62b5a6179380ed4516da0240996b1d22be71f840d1687",
+        "run_meta.json": "6c3b18b8b3d3824dcb673f377e2c00c3db3da6c94319c84e72bab271578347e3",
+        "summary.json": "def8e164381fb6abe4c990758f8f823cc29e56b317326e364f8e3dc88dd6bdde",
     },
 }
 
@@ -316,6 +329,8 @@ def test_every_record_and_summary_row_names_the_declared_slots(name, fmt, tmp_pa
     bundle_of(raw, tmp_path, fmt)
     out = tmp_path / "out"
     if fmt == "csv":
+        records = (out / "records.csv").read_text().splitlines()[0].split(",")
+        assert [c for c in records if c.startswith("slot_")] == [f"slot_{s}" for s in declared]
         header = (out / "summary.csv").read_text().splitlines()[0].split(",")
         columns = [header]
     else:

@@ -441,11 +441,14 @@ def _split_sum_count(w: np.ndarray, ref: np.ndarray, live, cue, free) -> int:
     of its right sums form one bitset per level, nested and so built as a
     suffix OR from the top level down, with an empty set past the top.
     The levels step by 2 from the unit's lowest right sum to its highest
-    (its right sums share one parity), or are its distinct sums where that
-    range holds more levels than the right half has rows. Each left row
-    takes the bitset of the lowest level reaching its need, the index
-    clamped into the unit's range, and ANDs it into its running set; the
-    count is the popcount of the running sets after the last unit. Only
+    (its right sums share one parity) where that range holds at most an
+    eighth as many levels as the right half has rows, and are its distinct
+    sums elsewhere: a wide range of levels costs a bitset each, most of
+    them for sums no row has, while finding the distinct sums costs one
+    sort of the unit's right row. Each left row takes the bitset of the
+    lowest level reaching its need, the index clamped into the unit's
+    range, and ANDs it into its running set; the count is the popcount of
+    the running sets after the last unit. Only
     one unit's bitsets exist at a time, so besides the tables the count
     holds three word arrays of at most (right rows + 1) x words: about
     2 MiB each at the 24-unit cap (4,096 x 64 words), at any weights.
@@ -486,7 +489,7 @@ def _split_sum_count(w: np.ndarray, ref: np.ndarray, live, cue, free) -> int:
     spans = (right.max(axis=1).astype(np.int64) - lows).tolist()
     for need_unit, right_unit, lo, span in zip(need, right, lows, spans):
         n_levels = span // 2 + 1
-        if n_levels <= n_right:
+        if 8 * n_levels <= n_right:
             level = np.subtract(right_unit, lo, dtype=np.intp) >> 1
             at = np.subtract(need_unit, lo - 1, dtype=np.intp) >> 1
         else:

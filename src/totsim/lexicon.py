@@ -63,7 +63,8 @@ class Lexicon:
     learned semantic patterns as one read-only `(words, N)` int64 matrix
     whose rows are in id order, so a tie on the score goes to the first
     row; `_row` maps each id to its row. The threshold is read once as an
-    exact rational (see `exact_fraction`).
+    exact rational (see `exact_fraction`). The derived `lengths` holds the
+    component lengths in `COMPONENTS` order, which every node shares.
     """
 
     nodes: tuple[WordNode, ...]
@@ -84,10 +85,11 @@ class Lexicon:
             lengths = {node.components[comp].n for node in self.nodes}
             if len(lengths) > 1:
                 raise DimensionError(f"nodes disagree on {comp} length: {sorted(lengths)}")
-        n_phon = self.nodes[0].components["phonological"].n
+        lengths = tuple(self.nodes[0].components[comp].n for comp in COMPONENTS)
+        object.__setattr__(self, "lengths", lengths)
         if self.slot_map is None:
-            object.__setattr__(self, "slot_map", SlotMap(n_phon))
-        elif self.slot_map.length != n_phon:
+            object.__setattr__(self, "slot_map", SlotMap(lengths[-1]))
+        elif self.slot_map.length != lengths[-1]:
             raise DimensionError("slot map length must match the phonological component")
         by_id = tuple(sorted(self.nodes, key=lambda node: node.id))
         semantic = np.array(
@@ -99,9 +101,12 @@ class Lexicon:
         object.__setattr__(self, "_row", {node.id: i for i, node in enumerate(by_id)})
         object.__setattr__(self, "_semantic", semantic)
         object.__setattr__(self, "_threshold", threshold)
+        # Exact completeness top / N of every overlap top a selection can have.
+        n = semantic.shape[1]
+        object.__setattr__(self, "_completeness", tuple(Fraction(top, n) for top in range(n + 1)))
         # An unprimed node clears the threshold t iff overlap / N >= t,
         # that is iff its integer overlap is at least ceil(t * N).
-        object.__setattr__(self, "_min_overlap", math.ceil(threshold * semantic.shape[1]))
+        object.__setattr__(self, "_min_overlap", math.ceil(threshold * n))
 
     def node_by_id(self, word_id: str) -> WordNode:
         row = self._row.get(word_id)
@@ -126,15 +131,14 @@ class Lexicon:
         the first row of maximal overlap, and it clears the threshold iff
         that overlap reaches the precomputed integer `_min_overlap`: one
         `argmax` of the block, whose first maximal row it is. Only primed
-        nodes are scored one by one.
+        nodes are scored one by one. An overlap's completeness is read from
+        the lexicon's table of the N + 1 fractions top / N.
         """
-        n = self._semantic.shape[1]
-        if len(semantic_input) != n:
-            raise DimensionError(
-                f"semantic input length {len(semantic_input)} != lexicon length {n}"
-            )
-        overlaps = overlap(self._semantic, semantic_input.units)
-        primed = {
+        units, n = semantic_input.units, self._semantic.shape[1]
+        if units.shape[0] != n:
+            raise DimensionError(f"semantic input length {units.shape[0]} != lexicon length {n}")
+        overlaps = overlap(self._semantic, units)
+        primed = bonuses and {
             self._row[word_id]: bonus for word_id, bonus in bonuses.items() if word_id in self._row
         }
         if not primed:
@@ -142,12 +146,12 @@ class Lexicon:
             top = int(overlaps[row])
             if top < self._min_overlap:
                 return None
-            return self._by_id[row], Fraction(top, n)
+            return self._by_id[row], self._completeness[top]
         overlaps = overlaps.tolist()
         # Primed rows leave the unprimed ranking.
         unprimed = [-n if row in primed else ov for row, ov in enumerate(overlaps)]
         top = max(unprimed)
-        best_row, best_score = unprimed.index(top), Fraction(max(0, top), n)
+        best_row, best_score = unprimed.index(top), self._completeness[max(0, top)]
         for row, bonus in primed.items():
             score = exact_score(overlaps[row], n, bonus)
             if score > best_score or (score == best_score and row < best_row):

@@ -49,16 +49,17 @@ class ComponentNetwork:
         object.__setattr__(self, "_held", None)
 
     @classmethod
-    def _of(cls, w_int, stored, damage_fraction=0.0, mask=frozenset()) -> "ComponentNetwork":
+    def _of(cls, w_int, stored, damage_fraction=0.0, mask=frozenset(), mask_arr=None):
         """A network on a read-only matrix that is already checked, with an
-        in-range mask: the constructor without its copy and checks."""
+        in-range mask whose units `mask_arr` lists once each, in any order
+        (None for no mask): the constructor without its copy and checks."""
         net = object.__new__(cls)
         net.__dict__.update(
             w_int=w_int,
             stored=stored,
             damage_fraction=damage_fraction,
             mask=mask,
-            _mask_arr=np.array(sorted(mask), dtype=np.int64),
+            _mask_arr=mask_arr,
             _held=None,
         )
         return net
@@ -72,7 +73,9 @@ class ComponentNetwork:
 
         Tie rule: sgn(0) = +1. Masked units contribute zero on the input
         side and are forced to +1 on the output side. There is no iteration
-        to convergence; repetition happens at the attempt level.
+        to convergence; repetition happens at the attempt level. The
+        matrix is symmetric (checked when the network is built), so the
+        pass multiplies by it as it is, not by its transpose.
 
         `probe` is a +1/-1 unit array whose last axis has the n units: one
         row, or a `(rows, n)` block evaluated in one integer matmul. The
@@ -83,7 +86,7 @@ class ComponentNetwork:
         if self.mask:
             probe = probe.copy()
             probe[..., self._mask_arr] = 0
-        out = np.where(probe @ self.w_int.T >= 0, 1, -1)
+        out = np.where(probe @ self.w_int >= 0, 1, -1)
         if self.mask:
             out[..., self._mask_arr] = 1
         out.flags.writeable = False
@@ -146,10 +149,13 @@ class ComponentNetwork:
         """
         if not 0 <= fraction <= 1:
             raise ParameterError(f"mask fraction must be in [0, 1], got {fraction}")
-        k = floor_count(fraction, self.n)
-        mask = self.mask.union(rng.choice(self.n, size=k, replace=False).tolist())
-        # The masked network shares this network's checked read-only matrix.
-        return ComponentNetwork._of(self.w_int, self.stored, self.damage_fraction, mask)
+        drawn = rng.choice(self.n, size=floor_count(fraction, self.n), replace=False)
+        mask = self.mask.union(drawn.tolist())
+        # The drawn units are distinct, so they list an unmasked network's
+        # new mask as they are. The masked network shares this network's
+        # checked read-only matrix.
+        units = np.union1d(self._mask_arr, drawn) if self.mask else drawn
+        return ComponentNetwork._of(self.w_int, self.stored, self.damage_fraction, mask, units)
 
 
 def train(patterns) -> ComponentNetwork:

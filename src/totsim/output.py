@@ -2,9 +2,10 @@
 
 The records CSV has one column per `TrialRecord` field, with one flag
 column per declared slot in place of `partial_info` (`record_columns`);
-`CSV_SCHEMA_VERSION` versions that rule. Booleans are 0/1, times decimal
-milliseconds with three fractional digits, other floats shortest
-round-trip decimals. Files are written to a temporary name and renamed, so
+`CSV_SCHEMA_VERSION` versions that rule, and `JSON_SCHEMA_VERSION` the
+records.json and summary.json payloads, so a change to one format moves
+no byte of the other. Booleans are 0/1, times decimal milliseconds with
+three fractional digits, other floats shortest round-trip decimals. Files are written to a temporary name and renamed, so
 failures never leave partial output behind.
 """
 
@@ -21,6 +22,8 @@ from .errors import ParameterError
 from .experiment import STREAM_VERSION, SummaryRow, TrialRecord
 
 CSV_SCHEMA_VERSION = 2
+# 2: every record names every declared slot in `partial_info`.
+JSON_SCHEMA_VERSION = 2
 
 
 def fmt_float(x: float) -> str:
@@ -124,7 +127,7 @@ def read_record_rows(path) -> list[dict]:
 
 def write_records_json(records: list[TrialRecord], path) -> None:
     payload = {
-        "schema_version": CSV_SCHEMA_VERSION,
+        "schema_version": JSON_SCHEMA_VERSION,
         "records": [asdict(r) for r in records],
     }
     _atomic_write(path, json.dumps(payload, indent=2) + "\n")
@@ -154,7 +157,7 @@ def write_summary_csv(rows: list[SummaryRow], path) -> None:
 
 
 def write_summary_json(rows: list[SummaryRow], path) -> None:
-    payload = {"schema_version": CSV_SCHEMA_VERSION, "summary": [_summary_obj(r) for r in rows]}
+    payload = {"schema_version": JSON_SCHEMA_VERSION, "summary": [_summary_obj(r) for r in rows]}
     _atomic_write(path, json.dumps(payload, indent=2) + "\n")
 
 

@@ -180,10 +180,10 @@ def flip_by_rate(p: BipolarPattern, rate: float, rng: np.random.Generator) -> Bi
     """
     if not 0.0 <= rate <= 1.0:
         raise ParameterError(f"flip rate must be in [0, 1], got {rate}")
-    flips = rng.random(len(p)) < rate
-    units = np.where(flips, -p.units, p.units)  # +1/-1 as p's units are
-    units.flags.writeable = False
-    return BipolarPattern._view(units)
+    units = p.units
+    flipped = np.where(rng.random(units.shape[0]) < rate, -units, units)  # +1/-1 as p's are
+    flipped.flags.writeable = False
+    return BipolarPattern._view(flipped)
 
 
 def slot_match(output: np.ndarray, reference: np.ndarray, slots: SlotMap) -> dict[str, bool]:

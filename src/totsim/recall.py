@@ -56,6 +56,7 @@ class RecallParams:
     declaration only) maps each component to its exact cue fraction: q for
     the first, min(1, q + link_gain) for each later one, which follows a
     resolved component (see `exact_fraction`: 0.5 + 0.2 is exactly 7/10).
+    `cue_sizes` turns it into cue unit counts for given component lengths.
     """
 
     cue_fraction: dict[str, float]
@@ -89,6 +90,18 @@ class RecallParams:
         for comp in COMPONENTS[1:]:
             cue[comp] = min(Fraction(1), cue[comp] + gain)
         object.__setattr__(self, "cue", cue)
+        object.__setattr__(self, "_cue_sizes", {})
+
+    def cue_sizes(self, lengths: tuple[int, ...]) -> tuple[int, ...]:
+        """Each component's cue unit count floor(cue * n) (see
+        `floor_count`), in `COMPONENTS` order, for the component lengths
+        `lengths` in that order. Derived once per lengths and kept, so the
+        trials of a sweep point, which share their parameters and lexicon,
+        derive them once."""
+        if lengths not in self._cue_sizes:
+            sizes = tuple(floor_count(self.cue[c], n) for c, n in zip(COMPONENTS, lengths))
+            self._cue_sizes[lengths] = sizes
+        return self._cue_sizes[lengths]
 
 
 @dataclass(frozen=True)
@@ -139,28 +152,27 @@ def chronometry(attempts: int, spike_ms: float, interval_ms: float) -> float:
     return attempts * spike_ms + (attempts - 1) * interval_ms
 
 
-def generate_probe(ref_units: np.ndarray, cue_indices, rng: np.random.Generator, rows: int):
-    """A `(rows, n)` block of retrieval probes: random +1/-1 units with the
-    cue units clamped to the reference units `ref_units`.
+def generate_probe(ref_units: np.ndarray, cue_indices, uniforms: np.ndarray) -> np.ndarray:
+    """A `(rows, n)` block of retrieval probes from a `(rows, n)` block of
+    uniforms: unit j of a row is +1 where its uniform is below 1/2 and -1
+    elsewhere, with the cue units clamped to the reference units
+    `ref_units`.
 
     `cue_indices` is either one sequence of unit indices, clamped in every
-    row, or a `(rows, k)` integer array giving each row its own cue.
-    Always consumes `rows * n` uniforms, independent of the cue. No cue
+    row, or a `(rows, k)` integer array giving each row its own cue. No cue
     given as `range(0)` returns the random units as drawn, without an index
-    check. The engine never asks for a full cue's block, only for its
-    uniforms: see `recall_component`.
+    check. A pure function: the caller draws the uniforms, so the probes of
+    any rows of a block are those rows of the whole block's probes.
     """
-    n = len(ref_units)
-    probes = np.where(rng.random((rows, n)) < 0.5, 1, -1)
+    probes = np.where(uniforms < 0.5, 1, -1)
     if type(cue_indices) is range and not cue_indices:
         return probes
     idx = np.asarray(cue_indices, dtype=np.int64)
-    if idx.size:
-        if idx.min() < 0 or idx.max() >= n:
-            raise DimensionError("cue index out of range")
-        # One clamp for both shapes: a list of k indices broadcasts over the
-        # rows as a `(rows, k)` block does.
-        probes[np.arange(rows)[:, None], idx] = ref_units[idx]
+    if idx.size and (idx.min() < 0 or idx.max() >= len(ref_units)):
+        raise DimensionError("cue index out of range")
+    # One clamp for both shapes: a list of k indices broadcasts over the rows
+    # as a `(rows, k)` block does.
+    probes[np.arange(len(probes))[:, None], idx] = ref_units[idx]
     return probes
 
 
@@ -169,13 +181,7 @@ def compare(output: np.ndarray, reference: np.ndarray):
     one bool for one output row and one per row for a `(rows, n)` block."""
     if output.shape[-1] != reference.shape[-1]:
         raise DimensionError(f"length mismatch: {output.shape[-1]} vs {reference.shape[-1]}")
-    return (output == reference).all(axis=-1)
-
-
-def _per_row_cues(rng: np.random.Generator, rows: int, n: int, k: int) -> np.ndarray:
-    """Each row's k cue units, uniform without replacement: the k smallest
-    of a `(rows, n)` block of uniform keys."""
-    return np.argpartition(rng.random((rows, n)), k - 1, axis=1)[:, :k]
+    return np.logical_and.reduce(output == reference, axis=-1)
 
 
 def recall_component(
@@ -196,16 +202,18 @@ def recall_component(
     or N) and clamped in every attempt.
 
     No attempt depends on an earlier one apart from the stop rule, so the
-    attempts are drawn in chunks of up to `_ATTEMPT_CHUNK`: per chunk, one
-    key block for the cues (only when they are redrawn and 0 < k < N) and
-    one probe block. A chunk of more than `_HEAD_BREAK_EVEN` units is
-    evaluated head first, its first `_HEAD` rows and then the rest; a
-    smaller one in one pass. A pass retrieves its rows, scores their
-    overlap with the reference and compares the one row its argmax picks:
-    outputs are +1/-1, so a row scores N exactly when it matches, and the
-    first row of maximal overlap is the first match when there is one. So
-    the stop attempt is the first matching row; otherwise `best_output` is
-    the first row of maximal overlap.
+    loop draws its attempts in chunks of up to `_ATTEMPT_CHUNK`: per chunk,
+    one `(rows, N)` key block for the cues (only when they are redrawn and
+    0 < k < N), then one `(rows, N)` block of probe uniforms. The loop owns
+    these draws; what it evaluates does not move the stream. A chunk of
+    more than `_HEAD_BREAK_EVEN` units is evaluated head first, its first
+    `_HEAD` rows and then the rest; a smaller one in one pass. A pass turns
+    only its own rows into cues and probes (`generate_probe`), retrieves
+    them, scores their overlap with the reference and compares the one row
+    its argmax picks: outputs are +1/-1, so a row scores N exactly when it
+    matches, and the first row of maximal overlap is the first match when
+    there is one. So the stop attempt is the first matching row; otherwise
+    `best_output` is the first row of maximal overlap.
 
     A full cue (k = N) makes every probe the reference, so every attempt
     outputs the one image of the reference (`ComponentNetwork.image`,
@@ -216,11 +224,9 @@ def recall_component(
     moves as it does for any other cue. Time is the caller's: see
     `chronometry`.
     """
-    if len(reference) != net.n:
-        raise DimensionError(
-            f"reference length {len(reference)} != network size {net.n}"
-        )
     n, ref, k = net.n, reference.units, cue_size
+    if ref.shape[0] != n:
+        raise DimensionError(f"reference length {ref.shape[0]} != network size {n}")
     if not (type(k) is int or isinstance(k, Integral)) or not 0 <= k <= n:
         raise ParameterError(f"cue_size must be an integer in [0, {n}], got {k}")
     if not (type(max_attempts) is int or isinstance(max_attempts, Integral)) or max_attempts < 1:
@@ -237,22 +243,23 @@ def recall_component(
         for done in range(0, attempts, _ATTEMPT_CHUNK):
             rng.random((min(_ATTEMPT_CHUNK, max_attempts - done), n))  # the probe blocks
         return ComponentOutcome(score == n, attempts, score / n, output)
-    best_score, best_row = None, None
-    done = 0
-    while done < max_attempts:
+    best_score, best_row = -n - 1, None
+    for done in range(0, max_attempts, _ATTEMPT_CHUNK):
         rows = min(_ATTEMPT_CHUNK, max_attempts - done)
-        cues = _per_row_cues(rng, rows, n, k) if cue is None else cue
-        probes = generate_probe(ref, cues, rng, rows)
+        keys = rng.random((rows, n)) if cue is None else None
+        coins = rng.random((rows, n))
         head_first = rows > _HEAD and rows * n > _HEAD_BREAK_EVEN
         for lo, hi in ((0, _HEAD), (_HEAD, rows)) if head_first else ((0, rows),):
-            outputs = net.retrieve_once(probes[lo:hi])
+            # A redrawn cue is each row's k units of smallest key: k units
+            # uniform without replacement.
+            cues = cue if keys is None else np.argpartition(keys[lo:hi], k - 1)[:, :k]
+            outputs = net.retrieve_once(generate_probe(ref, cues, coins[lo:hi]))
             scores = overlap(outputs, ref)
             top = int(scores.argmax())
             if compare(outputs[top], ref):
                 return ComponentOutcome(True, done + lo + top + 1, 1.0, outputs[top])
-            if best_score is None or scores[top] > best_score:
+            if scores[top] > best_score:
                 best_score, best_row = int(scores[top]), outputs[top]
-        done += rows
     return ComponentOutcome(False, max_attempts, best_score / n, best_row)
 
 
@@ -289,9 +296,10 @@ def recall_word(
     component that fails to resolve (later components count as
     unattempted), so Resolved means all three resolved and a selected word
     whose phonological form did not resolve is a TOT. Each component runs
-    with floor(cue * n) cue units (see `floor_count`), where cue is its
-    exact `params.cue`. The episode's time is the sum over components, in
-    cascade order, of `chronometry` of their attempts.
+    with floor(cue * n) cue units, where cue is its exact `params.cue` and
+    n its length (see `RecallParams.cue_sizes`). The episode's time is the
+    sum over components, in cascade order, of `chronometry` of their
+    attempts.
 
     `partial_info` names every slot of `lex.slot_map`: a slot matches when
     the phonological best output equals the reference on it, and is False
@@ -310,38 +318,36 @@ def recall_word(
             total_time_ms=0.0,
         )
     node, completeness = selection
-    episode_nets = node.components
-    if completeness != 1:
+    nets, refs = node.components, node.metamemory_ref
+    if completeness.numerator != completeness.denominator:  # c < 1
         masked = 1 - completeness
-        episode_nets = {comp: episode_nets[comp].apply_mask(masked, rng) for comp in COMPONENTS}
+        nets = {comp: nets[comp].apply_mask(masked, rng) for comp in COMPONENTS}
 
     outcomes = dict.fromkeys(COMPONENTS, SKIPPED)
-    for comp in COMPONENTS:
+    time_ms = 0.0
+    for comp, cue_size in zip(COMPONENTS, params.cue_sizes(lex.lengths)):
         outcome = recall_component(
-            episode_nets[comp],
-            node.metamemory_ref[comp],
-            floor_count(params.cue[comp], episode_nets[comp].n),
+            nets[comp],
+            refs[comp],
+            cue_size,
             params.max_attempts,
             rng,
             fixed_cue=params.fixed_cue_per_episode,
         )
         outcomes[comp] = outcome
+        time_ms += chronometry(outcome.attempts, params.spike_ms, params.interval_ms)
         if not outcome.resolved:
             break
 
     classification, tot_strength = classify_outcome(outcomes)
     phon = outcomes["phonological"]
     if phon.best_output is not None:
-        partial = slot_match(
-            phon.best_output, node.metamemory_ref["phonological"].units, lex.slot_map
-        )
+        partial = slot_match(phon.best_output, refs["phonological"].units, lex.slot_map)
     return RecallOutcome(
         completeness=float(completeness),
         components=outcomes,
         classification=classification,
         tot_strength=tot_strength,
         partial_info=partial,
-        total_time_ms=sum(
-            chronometry(o.attempts, params.spike_ms, params.interval_ms) for o in outcomes.values()
-        ),
+        total_time_ms=time_ms,
     )

@@ -2,11 +2,12 @@
 replaces: block passes equal row-by-row passes, the stop attempt is the
 first matching row, the best output is the first row of maximal overlap,
 a chunk is drawn whole however early it is evaluated to a hit and is
-evaluated head first only above the break-even, a full cue's loop is the
-row-by-row loop evaluated from one retrieval that each network keeps, a
-range cue's probe block is the one its index list gives, memory stays
-bounded by the chunk size, and a trial wraps no unit array in a
-BipolarPattern beyond its semantic input."""
+evaluated head first only above the break-even, a pass builds the probes
+of its own rows only, a full cue's loop is the row-by-row loop evaluated
+from one retrieval that each network keeps, a range cue's probe block is
+the one its index list gives, memory stays bounded by the chunk size, and
+a trial wraps no unit array in a BipolarPattern beyond its semantic
+input."""
 
 import tracemalloc
 
@@ -129,11 +130,12 @@ def test_stop_attempt_and_best_output_follow_the_rows(net, cue_tenths, max_attem
 def test_match_in_second_chunk(monkeypatch):
     """A hit faked on row chunk + 5 of an unreachable loop: the patched
     overlap scores that row above any real score, so the pass's argmax picks
-    it, and the patched comparator accepts a pass's pick only then."""
+    it, and the patched comparator accepts a pass's pick only then. Each
+    chunk is drawn whole, and each pass builds the probes of its own rows."""
     chunk, head = recall._ATTEMPT_CHUNK, recall._HEAD
     spy = Spy(monkeypatch)
     target = chunk + 5
-    faked, drawn = [], []
+    faked, built = [], []
     real_overlap, real_probe = recall.overlap, recall.generate_probe
 
     def overlap(outputs, reference):
@@ -144,17 +146,20 @@ def test_match_in_second_chunk(monkeypatch):
             scores[target - start] = len(reference) + 1
         return scores
 
-    def generate_probe(ref_units, cue_indices, rng, rows):
-        drawn.append(rows)
-        return real_probe(ref_units, cue_indices, rng, rows)
+    def generate_probe(ref_units, cue_indices, uniforms):
+        built.append(len(uniforms))
+        return real_probe(ref_units, cue_indices, uniforms)
 
     monkeypatch.setattr(recall, "overlap", overlap)
     monkeypatch.setattr(recall, "compare", lambda output, reference: faked[-1])
     monkeypatch.setattr(recall, "generate_probe", generate_probe)
     unreachable = P9.with_flipped([0])
-    out = recall_component(train([P9]), unreachable, 0, 3 * chunk, default_rng(1))
-    assert drawn == [chunk, chunk]
-    assert [len(block) for block in spy.blocks] == [head, chunk - head, head, chunk - head]
+    rng, twin = default_rng(1), default_rng(1)
+    out = recall_component(train([P9]), unreachable, 0, 3 * chunk, rng)
+    twin.random((2 * chunk, len(P9)))
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert built == [head, chunk - head, head, chunk - head]
+    assert [len(block) for block in spy.blocks] == built
     assert out.resolved and out.attempts == target + 1
     assert np.array_equal(out.best_output, spy.rows()[target])
 
@@ -207,19 +212,65 @@ def test_a_hit_in_the_head_evaluates_only_the_head(cue_size, monkeypatch):
 def test_a_range_cue_gives_the_block_an_index_list_gives(rows, n):
     """`range(0)` (no unit) takes the probe's fast path and `range(n)`
     (every unit) the general clamp; each returns the block the same cue as
-    an index list returns and leaves the stream where the list leaves it,
-    also when a uint32 is buffered."""
+    an index list returns from the same uniforms."""
     reference = random_pattern(n, default_rng(rows)).units
+    uniforms = default_rng(rows).random((rows, n))
     for cue in (range(n), range(0)):
-        rng, twin = default_rng(rows), default_rng(rows)
-        for g in (rng, twin):
-            g.integers(0, 2**32, dtype=np.uint32)
-        assert rng.bit_generator.state["has_uint32"]
-        fast = recall.generate_probe(reference, cue, rng, rows)
-        listed = recall.generate_probe(reference, list(cue), twin, rows)
+        fast = recall.generate_probe(reference, cue, uniforms)
+        listed = recall.generate_probe(reference, list(cue), uniforms)
         assert fast.dtype == listed.dtype and np.array_equal(fast, listed)
-        assert rng.bit_generator.state == twin.bit_generator.state
-        assert rng.random() == twin.random()
+
+
+@st.composite
+def chunk_cues(draw):
+    """A chunk's uniforms, a row slice of it and a cue of each kind: none
+    as `range(0)`, one index list for every row, or one per row."""
+    n = draw(st.integers(1, 12))
+    rows = draw(st.integers(1, 40))
+    rng = default_rng(draw(st.integers(0, 10**6)))
+    kind = draw(st.sampled_from(["none", "list", "rows"]))
+    k = draw(st.integers(1, n))
+    if kind == "none":
+        cue = range(0)
+    elif kind == "list":
+        cue = rng.choice(n, size=k, replace=False).tolist()
+    else:
+        cue = np.argsort(rng.random((rows, n)), axis=1)[:, :k]
+    lo = draw(st.integers(0, rows - 1))
+    hi = draw(st.integers(lo + 1, rows))
+    return random_pattern(n, rng).units, cue, rng, rows, lo, hi
+
+
+@given(chunk_cues())
+def test_a_row_slice_of_the_uniforms_gives_that_slice_of_the_probes(case):
+    """`generate_probe` is a pure function of reference, cue and uniforms:
+    the probes of rows lo:hi of a chunk are those rows of the whole chunk's
+    probes, and building them moves no stream."""
+    reference, cue, rng, rows, lo, hi = case
+    uniforms = rng.random((rows, len(reference)))
+    state = rng.bit_generator.state
+    whole = recall.generate_probe(reference, cue, uniforms)
+    part_cue = cue[lo:hi] if isinstance(cue, np.ndarray) else cue
+    part = recall.generate_probe(reference, part_cue, uniforms[lo:hi])
+    assert part.dtype == whole.dtype and np.array_equal(part, whole[lo:hi])
+    assert rng.bit_generator.state == state
+    assert set(np.unique(whole).tolist()) <= {-1, 1}
+
+
+def test_a_free_recall_head_hit_builds_only_the_head_probes(monkeypatch):
+    """A 64 x 9 free-recall chunk is drawn whole, but a loop that matches
+    within its head hands `generate_probe` the head's 4 rows only."""
+    built = []
+    real_probe = recall.generate_probe
+
+    def generate_probe(ref_units, cue_indices, uniforms):
+        built.append(uniforms.shape)
+        return real_probe(ref_units, cue_indices, uniforms)
+
+    monkeypatch.setattr(recall, "generate_probe", generate_probe)
+    out = recall_component(train([P9]), P9, 0, 64, default_rng(1))
+    assert out.resolved and out.attempts == 2
+    assert built == [(recall._HEAD, len(P9))]
 
 
 def full_cue_loop(net, reference, max_attempts, rng, fixed_cue):

@@ -18,14 +18,19 @@ from helpers import explicit_word, with_uniform_cue
 
 
 def cue_sizes(monkeypatch):
-    """Record the cue size of every probe block the engine draws."""
+    """Record, per attempt loop, the cue size of every pass's probe block."""
     sizes = []
-    original = recall.generate_probe
+    loop, probe = recall.recall_component, recall.generate_probe
 
-    def generate_probe(reference, cue_indices, rng, *args):
-        sizes.append(np.asarray(cue_indices).shape[-1])
-        return original(reference, cue_indices, rng, *args)
+    def recall_component(*args, **kwargs):
+        sizes.append(set())
+        return loop(*args, **kwargs)
 
+    def generate_probe(reference, cue_indices, uniforms):
+        sizes[-1].add(np.asarray(cue_indices).shape[-1])
+        return probe(reference, cue_indices, uniforms)
+
+    monkeypatch.setattr(recall, "recall_component", recall_component)
     monkeypatch.setattr(recall, "generate_probe", generate_probe)
     return sizes
 
@@ -51,8 +56,8 @@ def test_linked_cue_fraction_is_summed_exactly(monkeypatch):
     )
     outcome = recall_word(lex, p, params, default_rng(SeedSequence(3)))
     assert outcome.components["semantic"].resolved
-    assert sizes[0] == 63  # floor(0.7 * 90), not 62
-    assert sizes[1] == 63  # floor((0.5 + 0.2) * 90), not 62
+    assert sizes[0] == {63}  # floor(0.7 * 90), not 62
+    assert sizes[1] == {63}  # floor((0.5 + 0.2) * 90), not 62
 
 
 def masked_counts(monkeypatch):

@@ -551,6 +551,23 @@ class TestExactSuccessProb:
             assert peak < 32 * 2**20
             assert answers == [Fraction(1), Fraction(0)]
 
+    def test_a_wide_level_range_takes_the_distinct_sums(self):
+        # With p stored 300 times a unit's right sums span about 2,900
+        # levels, of which about 50 occur, against 4,096 right rows. A
+        # bitset per level in the range peaks at ~8.6 MiB; one per distinct
+        # sum at ~5.5 MiB.
+        rng = default_rng(SeedSequence(43))
+        p, q = random_pattern(64, rng), random_pattern(64, rng)
+        net = train([p] * 300 + [q]).damage(0.2, rng)
+        tracemalloc.start()
+        try:
+            answer = exact_success_prob(net, q, range(40))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 2**20
+        assert answer == Fraction(0)
+
     def test_enumeration_memory_is_bounded_at_any_weight_magnitude(self):
         # Weights near 20,000 in magnitude spread a unit's right sums over
         # ~240,000 values, of which at most 4,096 occur: one bitset per value

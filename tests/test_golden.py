@@ -30,6 +30,9 @@ line by line against the schema version 1 bundles):
 - `csv_schema_version` in every run_meta.json and `schema_version` in
   every records.json and summary.json went from 1 to 2, the one line that
   changed in each. No summary.csv and no `LEXICONS` digest moved.
+Since then records.json and summary.json take their `schema_version` from
+`output.JSON_SCHEMA_VERSION`, still 2, so that split moved no digest; a
+records.csv schema change now moves only records.csv and run_meta.json.
 
 The run_meta.json digests were re-pinned twice, each time for one change
 and nothing else:
@@ -84,6 +87,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from totsim import output
 from totsim.cli import main
 from totsim.config import parse_config
 from totsim.experiment import build_scenario_lexicon, damaged_lexicon, sweep_points
@@ -304,6 +308,17 @@ def test_output_bytes_are_pinned(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
 def test_json_output_bytes_are_pinned(name, tmp_path):
     assert bundle(name, tmp_path, "json") == GOLDEN_JSON[name]
+
+
+@pytest.mark.parametrize("name", ["free_recall.json", "partial_information.json"])
+def test_a_records_csv_schema_change_moves_no_json_payload(name, tmp_path, monkeypatch):
+    # records.json and summary.json carry their own schema version; only
+    # run_meta.json, which names the CSV schema version, moves.
+    monkeypatch.setattr(output, "CSV_SCHEMA_VERSION", output.CSV_SCHEMA_VERSION + 1)
+    got, want = bundle(name, tmp_path, "json"), GOLDEN_JSON[name]
+    assert got["records.json"] == want["records.json"]
+    assert got["summary.json"] == want["summary.json"]
+    assert got["run_meta.json"] != want["run_meta.json"]
 
 
 @pytest.mark.parametrize("fmt", sorted(GENERATED))

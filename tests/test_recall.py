@@ -61,7 +61,7 @@ class TestChronometry:
 
 class TestGenerateProbe:
     def test_full_cue_reproduces_reference(self):
-        probe = generate_probe(P9.units, range(9), default_rng(0), 1)[0]
+        probe = generate_probe(P9.units, range(9), default_rng(0).random((1, 9)))[0]
         assert np.array_equal(probe, P9.units)
 
     def test_no_cue_is_unconstrained(self):
@@ -69,7 +69,7 @@ class TestGenerateProbe:
         rng = default_rng(SeedSequence(1))
         seen_disagreement = np.zeros(9, dtype=bool)
         for _ in range(200):
-            probe = generate_probe(P9.units, [], rng, 1)[0]
+            probe = generate_probe(P9.units, [], rng.random((1, 9)))[0]
             seen_disagreement |= probe != P9.units
         assert seen_disagreement.all()
 
@@ -79,7 +79,7 @@ class TestGenerateProbe:
         agree = np.zeros(9)
         draws = 2000
         for _ in range(draws):
-            probe = generate_probe(P9.units, cue, rng, 1)[0]
+            probe = generate_probe(P9.units, cue, rng.random((1, 9)))[0]
             agree += probe == P9.units
         rates = agree / draws
         assert np.all(rates[list(cue)] == 1.0)
@@ -87,7 +87,7 @@ class TestGenerateProbe:
 
     def test_out_of_range_cue_rejected(self):
         with pytest.raises(DimensionError):
-            generate_probe(P9.units, [9], default_rng(0), 1)
+            generate_probe(P9.units, [9], default_rng(0).random((1, 9)))
 
 
 class TestCompare:
@@ -147,8 +147,8 @@ class TestRecallComponent:
         blocks = []
         original = recall.generate_probe
 
-        def generate_probe(ref_units, cue_indices, rng, rows):
-            probes = original(ref_units, cue_indices, rng, rows)
+        def generate_probe(ref_units, cue_indices, uniforms):
+            probes = original(ref_units, cue_indices, uniforms)
             blocks.append((np.asarray(cue_indices), probes))
             return probes
 
@@ -325,10 +325,14 @@ class TestRecallWord:
         params = with_uniform_cue(
             3 / 9, max_attempts=16, fixed_cue_per_episode=True
         )
-        out = recall_word(Lexicon((node,), 0.3), P9, params, default_rng(SeedSequence(16)))
-        reached = sum(out.components[c].attempts > 0 for c in COMPONENTS)
-        assert reached == (1 if corrupt == "semantic" else 3)
-        assert len(calls) == reached
+        lex = Lexicon((node,), 0.3)
+        for seed in (16, 17):
+            out = recall_word(lex, P9, params, default_rng(SeedSequence(seed)))
+            reached = sum(out.components[c].attempts > 0 for c in COMPONENTS)
+            assert reached == (1 if corrupt == "semantic" else 3)
+        # The parameters derive each component's count once, for every
+        # episode on the lexicon, whichever components an episode reaches.
+        assert calls == [(params.cue[c], 9) for c in COMPONENTS]
 
     def test_partial_info_reported_from_best_output(self):
         slots = SlotMap(9, {"first_letter": (0, 1, 2)})

@@ -33,8 +33,14 @@ SEED_TAG_TRIAL = 3
 # masked-unit, cue and damage counts are exact floors. 3: trial t of a sweep
 # point runs on the point's PCG64DXSM stream jumped t times (see
 # `_run_trial_range`), no longer on `default_rng(SeedSequence((seed,
-# SEED_TAG_TRIAL, point, t)))`; every other stream is unchanged.
-STREAM_VERSION = 3
+# SEED_TAG_TRIAL, point, t)))`; every other stream is unchanged. 4: every
+# k-of-n subset a trial draws, a mask (`ComponentNetwork.apply_mask`) or a
+# fixed cue (`recall.recall_component`), is the units of the k smallest of
+# n uniform keys in one `rng.random(n)` row (`patterns.key_subset`), no
+# longer `rng.choice(n, k, replace=False)`; and `recall.recall_word` masks a
+# component just before its attempt loop, so an unreached component draws
+# no mask. The lexicon, metamemory and damage streams are unchanged.
+STREAM_VERSION = 4
 
 # The step of `PCG64DXSM.jumped`, (phi - 1) * 2^128 for the golden ratio
 # phi, as numpy rounds it.

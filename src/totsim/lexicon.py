@@ -8,6 +8,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +22,20 @@ _GENERATION_RETRY_BUDGET = 1000
 
 # Priming bonuses of a trial without priming.
 NO_BONUSES: Mapping[str, float] = MappingProxyType({})
+
+
+class Completeness(NamedTuple):
+    """A selection's exact completeness c, with what an episode reads of
+    it: c as a float for its record, and the exact fraction 1 - c of each
+    component's units that its masks silence."""
+
+    exact: Fraction
+    value: float
+    masked: Fraction
+
+    @classmethod
+    def of(cls, exact: Fraction) -> "Completeness":
+        return cls(exact, float(exact), 1 - exact)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,9 +116,14 @@ class Lexicon:
         object.__setattr__(self, "_row", {node.id: i for i, node in enumerate(by_id)})
         object.__setattr__(self, "_semantic", semantic)
         object.__setattr__(self, "_threshold", threshold)
-        # Exact completeness top / N of every overlap top a selection can have.
+        # The `Completeness` top / N of every overlap top a selection can
+        # have, built from the integers: float(Fraction(top, N)) is top / N,
+        # both rounded once, and 1 - top / N is (N - top) / N.
         n = semantic.shape[1]
-        object.__setattr__(self, "_completeness", tuple(Fraction(top, n) for top in range(n + 1)))
+        table = tuple(
+            Completeness(Fraction(top, n), top / n, Fraction(n - top, n)) for top in range(n + 1)
+        )
+        object.__setattr__(self, "_completeness", table)
         # An unprimed node clears the threshold t iff overlap / N >= t,
         # that is iff its integer overlap is at least ceil(t * N).
         object.__setattr__(self, "_min_overlap", math.ceil(threshold * n))
@@ -123,16 +143,16 @@ class Lexicon:
         `bonuses` (absent ids get none), capped at 1, in exact arithmetic
         (see `exact_score`). The highest score wins (ties to the
         lexicographically smallest id) and is returned with the node as
-        its exact selection completeness, a Fraction; below the threshold
-        nothing is selected and None is returned.
+        its selection `Completeness`, whose `exact` is the score; below the
+        threshold nothing is selected and None is returned.
 
         One block `overlap` gives every node's overlap. Without a bonus a
         node's score is max(0, overlap) / N, so the best unprimed node is
         the first row of maximal overlap, and it clears the threshold iff
         that overlap reaches the precomputed integer `_min_overlap`: one
         `argmax` of the block, whose first maximal row it is. Only primed
-        nodes are scored one by one. An overlap's completeness is read from
-        the lexicon's table of the N + 1 fractions top / N.
+        nodes are scored one by one. An unprimed overlap's completeness is
+        read from the lexicon's table of the N + 1 fractions top / N.
         """
         units, n = semantic_input.units, self._semantic.shape[1]
         if units.shape[0] != n:
@@ -151,14 +171,14 @@ class Lexicon:
         # Primed rows leave the unprimed ranking.
         unprimed = [-n if row in primed else ov for row, ov in enumerate(overlaps)]
         top = max(unprimed)
-        best_row, best_score = unprimed.index(top), self._completeness[max(0, top)]
+        best_row, best_score = unprimed.index(top), self._completeness[max(0, top)].exact
         for row, bonus in primed.items():
             score = exact_score(overlaps[row], n, bonus)
             if score > best_score or (score == best_score and row < best_row):
                 best_row, best_score = row, score
         if best_score < self._threshold:
             return None
-        return self._by_id[best_row], best_score
+        return self._by_id[best_row], Completeness.of(best_score)
 
 
 def exact_score(ov: int, n: int, bonus: float) -> Fraction:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError, TrainingError
-from .patterns import BipolarPattern, checked_units, floor_count
+from .patterns import BipolarPattern, checked_units, floor_count, key_subset
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,11 +145,14 @@ class ComponentNetwork:
         """Mark floor(fraction * n) uniformly chosen units as deactivated.
 
         The floor is exact (see `floor_count`); a Fraction passes through
-        unrounded. New mask indices are unioned with any existing mask.
+        unrounded. The k = floor(fraction * n) units are those of the k
+        smallest of n uniform keys, one `rng.random(n)` row drawn also when
+        k is 0 or n (see `key_subset`). New mask indices are unioned with
+        any existing mask.
         """
         if not 0 <= fraction <= 1:
             raise ParameterError(f"mask fraction must be in [0, 1], got {fraction}")
-        drawn = rng.choice(self.n, size=floor_count(fraction, self.n), replace=False)
+        drawn = key_subset(self.n, floor_count(fraction, self.n), rng)
         mask = self.mask.union(drawn.tolist())
         # The drawn units are distinct, so they list an unmasked network's
         # new mask as they are. The masked network shares this network's

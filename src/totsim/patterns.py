@@ -172,6 +172,15 @@ def floor_count(fraction, total: int) -> int:
     return fraction.numerator * total // fraction.denominator
 
 
+def key_subset(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k of the units 0 .. n - 1, uniform over the C(n, k) subsets: the
+    units of the k smallest of n uniform keys, drawn as one `rng.random(n)`
+    row also when k is 0 or n. The units come in no set order. A redrawn
+    cue takes each row of its key block the same way (see
+    `recall.recall_component`)."""
+    return np.argpartition(rng.random(n), k - 1)[:k]
+
+
 def flip_by_rate(p: BipolarPattern, rate: float, rng: np.random.Generator) -> BipolarPattern:
     """Flip each unit independently with probability `rate`.
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DimensionError, ParameterError
 from .lexicon import COMPONENTS, NO_BONUSES, Lexicon
 from .network import ComponentNetwork
-from .patterns import BipolarPattern, exact_fraction, floor_count, overlap, slot_match
+from .patterns import BipolarPattern, exact_fraction, floor_count, key_subset, overlap, slot_match
 
 # Most attempts one block holds, so the engine's memory stays bounded at any
 # max_attempts. Part of the random-stream layout (experiment.STREAM_VERSION).
@@ -198,8 +198,9 @@ def recall_component(
     Stops at the first exact match against `reference` or after
     `max_attempts`. k = `cue_size` cue indices, an integer in [0, N], are
     redrawn uniformly per attempt, or, with `fixed_cue`, drawn once before
-    the first attempt (`rng.choice(N, k, replace=False)`, also when k is 0
-    or N) and clamped in every attempt.
+    the first attempt and clamped in every attempt. Either way a cue is
+    the units of the k smallest of N uniform keys: a fixed cue's keys are
+    one `rng.random(N)` row, drawn also when k is 0 or N (`key_subset`).
 
     No attempt depends on an earlier one apart from the stop rule, so the
     loop draws its attempts in chunks of up to `_ATTEMPT_CHUNK`: per chunk,
@@ -232,7 +233,7 @@ def recall_component(
     if not (type(max_attempts) is int or isinstance(max_attempts, Integral)) or max_attempts < 1:
         raise ParameterError(f"max_attempts must be an integer >= 1, got {max_attempts}")
     if fixed_cue:
-        cue = rng.choice(n, size=k, replace=False)
+        cue = key_subset(n, k, rng)
     elif k == 0:
         cue = range(0)  # no cue
     else:
@@ -290,12 +291,14 @@ def recall_word(
     `bonuses`, masking, component cascade.
 
     The selected node's exact completeness c (see `Lexicon.select_node`)
-    masks floor((1 - c) * n) units of each component network for this
-    episode; a complete selection masks none. Components run in the order
-    semantic, lexical, phonological, and the cascade stops at the first
-    component that fails to resolve (later components count as
-    unattempted), so Resolved means all three resolved and a selected word
-    whose phonological form did not resolve is a TOT. Each component runs
+    masks floor((1 - c) * n) units of each component network the cascade
+    reaches, for this episode; a complete selection masks none. Components
+    run in the order semantic, lexical, phonological, and the cascade stops
+    at the first component that fails to resolve (later components count
+    as unattempted), so Resolved means all three resolved and a selected
+    word whose phonological form did not resolve is a TOT. A component is
+    masked (`ComponentNetwork.apply_mask`) just before its attempt loop,
+    so an unreached component draws no mask. Each component runs
     with floor(cue * n) cue units, where cue is its exact `params.cue` and
     n its length (see `RecallParams.cue_sizes`). The episode's time is the
     sum over components, in cascade order, of `chronometry` of their
@@ -318,16 +321,14 @@ def recall_word(
             total_time_ms=0.0,
         )
     node, completeness = selection
-    nets, refs = node.components, node.metamemory_ref
-    if completeness.numerator != completeness.denominator:  # c < 1
-        masked = 1 - completeness
-        nets = {comp: nets[comp].apply_mask(masked, rng) for comp in COMPONENTS}
+    nets, refs, masked = node.components, node.metamemory_ref, completeness.masked
 
     outcomes = dict.fromkeys(COMPONENTS, SKIPPED)
     time_ms = 0.0
     for comp, cue_size in zip(COMPONENTS, params.cue_sizes(lex.lengths)):
+        net = nets[comp].apply_mask(masked, rng) if masked else nets[comp]
         outcome = recall_component(
-            nets[comp],
+            net,
             refs[comp],
             cue_size,
             params.max_attempts,
@@ -344,7 +345,7 @@ def recall_word(
     if phon.best_output is not None:
         partial = slot_match(phon.best_output, refs["phonological"].units, lex.slot_map)
     return RecallOutcome(
-        completeness=float(completeness),
+        completeness=completeness.value,
         components=outcomes,
         classification=classification,
         tot_strength=tot_strength,

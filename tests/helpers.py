@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,18 @@ def explicit_word(word_id, pattern):
         components={c: train([pattern]) for c in COMPONENTS},
         metamemory_ref={c: pattern for c in COMPONENTS},
     )
+
+
+def assert_uniform_subsets(draws, n, k):
+    """Each k-subset of n units drawn holds a share of `draws` within 5
+    binomial standard errors of 1 / C(n, k), and no other set is drawn."""
+    counts = dict.fromkeys(map(frozenset, itertools.combinations(range(n), k)), 0)
+    for units in draws:
+        counts[frozenset(units)] += 1
+    assert len(counts) == math.comb(n, k) and sum(counts.values()) == len(draws)
+    p = 1 / math.comb(n, k)
+    se = math.sqrt(p * (1 - p) / len(draws))
+    assert all(abs(c / len(draws) - p) <= 5 * se for c in counts.values()), counts
 
 
 def learned(node):

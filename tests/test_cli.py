@@ -63,11 +63,11 @@ class TestSimulate:
         assert meta["records_format"] == "csv"
         assert "interval_method" in meta
 
-    def test_metadata_names_stream_version_3(self, tmp_path):
+    def test_metadata_names_stream_version_4(self, tmp_path):
         cfg = write_config(tmp_path, minimal_raw())
         out = tmp_path / "out"
         main(["simulate", "--config", cfg, "--out", str(out)])
-        assert json.loads((out / "run_meta.json").read_text())["stream_version"] == 3
+        assert json.loads((out / "run_meta.json").read_text())["stream_version"] == 4
 
     def test_interval_method_names_the_summary_intervals(self, tmp_path):
         # A full cue resolves every trial. The summary's Wilson interval

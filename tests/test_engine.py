@@ -275,10 +275,14 @@ def test_a_free_recall_head_hit_builds_only_the_head_probes(monkeypatch):
 
 def full_cue_loop(net, reference, max_attempts, rng, fixed_cue):
     """The attempt loop at k = N, row by row in plain Python over the rows
-    the stream layout draws: the fixed cue first, then each chunk's probe
-    uniforms, with every unit clamped to the reference."""
+    the stream layout draws: the fixed cue's N keys first, then each
+    chunk's probe uniforms, with every unit clamped to the reference."""
     n, ref = net.n, reference.units.tolist()
-    cue = set(rng.choice(n, size=n, replace=False).tolist() if fixed_cue else range(n))
+    if fixed_cue:
+        keys = rng.random(n).tolist()
+        cue = set(sorted(range(n), key=keys.__getitem__)[:n])  # the N smallest keys
+    else:
+        cue = set(range(n))
     best = None
     for done in range(0, max_attempts, recall._ATTEMPT_CHUNK):
         coins = rng.random((min(recall._ATTEMPT_CHUNK, max_attempts - done), n)).tolist()
@@ -363,7 +367,7 @@ def test_a_hit_in_the_head_leaves_the_stream_after_the_whole_chunk(cue_size, fix
     out = recall_component(train([P9]), P9, cue_size, rows, rng, fixed_cue=fixed_cue)
     assert out.resolved and out.attempts == 1
     if fixed_cue:
-        twin.choice(n, cue_size, replace=False)
+        twin.random(n)  # the fixed cue's keys
     elif cue_size < n:
         twin.random((rows, n))  # the key block of per-row cues
     twin.random((rows, n))  # the probe block

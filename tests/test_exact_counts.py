@@ -9,9 +9,9 @@ import pytest
 from numpy.random import SeedSequence, default_rng
 
 from totsim import parse_config, recall, run_trials, scenarios
-from totsim.lexicon import Lexicon
+from totsim.lexicon import COMPONENTS, Lexicon
 from totsim.network import ComponentNetwork, train
-from totsim.patterns import floor_count, random_pattern
+from totsim.patterns import BipolarPattern, floor_count, random_pattern
 from totsim.recall import Classification, RecallParams, recall_word
 
 from helpers import explicit_word, with_uniform_cue
@@ -60,36 +60,46 @@ def test_linked_cue_fraction_is_summed_exactly(monkeypatch):
     assert sizes[1] == {63}  # floor((0.5 + 0.2) * 90), not 62
 
 
-def masked_counts(monkeypatch):
-    counts = []
+def masks_drawn(monkeypatch, node):
+    """Record, per mask drawn, the component of `node` whose network it
+    masks and how many units it adds."""
+    drawn = []
     original = ComponentNetwork.apply_mask
+    component = {id(net): comp for comp, net in node.components.items()}
 
     def apply_mask(net, fraction, rng):
         masked = original(net, fraction, rng)
-        counts.append(len(masked.mask) - len(net.mask))
+        drawn.append((component[id(net)], len(masked.mask) - len(net.mask)))
         return masked
 
     monkeypatch.setattr(ComponentNetwork, "apply_mask", apply_mask)
-    return counts
+    return drawn
 
 
 @pytest.mark.parametrize(
-    "flips, bonus, expected",
+    "units, flips, bonus, expected, reached",
     [
-        ((3,), 0.0, 2),  # c = 8/10 masks 2 units, not 1
-        ((3, 7), 0.2, 2),  # c = 6/10 + 0.2 = 8/10
+        (None, (3,), 0.0, 2, 1),  # c = 8/10 masks 2 units, not 1
+        (None, (3, 7), 0.2, 2, 1),  # c = 6/10 + 0.2 = 8/10
+        ([1] * 10, (3,), 0.0, 2, 3),  # masked units output +1, as this word is
     ],
 )
-def test_mask_count_uses_exact_completeness(monkeypatch, flips, bonus, expected):
-    counts = masked_counts(monkeypatch)
-    p = random_pattern(10, default_rng(SeedSequence(4)))
-    lex = Lexicon((explicit_word("w", p),), 0.3)
+def test_mask_count_uses_exact_completeness(monkeypatch, units, flips, bonus, expected, reached):
+    """Every mask drawn silences floor((1 - c) * n) units, and only the
+    components the cascade reaches are masked: one that stops at the
+    semantic component draws one mask."""
+    p = BipolarPattern(units) if units else random_pattern(10, default_rng(SeedSequence(4)))
+    node = explicit_word("w", p)
+    drawn = masks_drawn(monkeypatch, node)
+    lex = Lexicon((node,), 0.3)
     params = with_uniform_cue(1.0)
     outcome = recall_word(
         lex, p.with_flipped(flips), params, default_rng(SeedSequence(5)), bonuses={"w": bonus}
     )
     assert outcome.classification is not Classification.NO_ACCESS
-    assert counts == [expected] * 3
+    hit = [comp for comp in COMPONENTS if outcome.components[comp].attempts]
+    assert hit == list(COMPONENTS[:reached])
+    assert drawn == [(comp, expected) for comp in hit]
 
 
 def test_damage_count_is_exact():

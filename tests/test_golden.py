@@ -3,9 +3,24 @@ shipped config at a reduced trial count.
 
 Output bytes are a function of the resolved config, the seed and the stream
 version (`experiment.STREAM_VERSION`, written to run_meta.json). These
-digests are for stream version 3. A change that moves them must be a
+digests are for stream version 4. A change that moves them must be a
 deliberate, versioned change of how random streams are consumed, or of the
 output schema: re-pin them in the same change and say why.
+
+Stream version 4 re-pinned 30 digests once, for one change and nothing
+else: every k-of-n subset a trial draws, a mask or a fixed cue, is the
+units of the k smallest of n uniform keys in one `rng.random(n)` row
+instead of `rng.choice(n, k, replace=False)`, and a component is masked
+just before its attempt loop, so a component the cascade never reaches
+draws no mask. Checked line by line against the version 3 bundles:
+- Every run_meta.json moved only by its `stream_version`, 3 to 4.
+- The records and summary files, csv and json, of priming_interloper,
+  `GENERATED` and `FIXED_CUE` moved with the new draws: they are the only
+  bundles that draw a mask (an incomplete selection) or a fixed cue.
+  priming_interloper's moved in two records, trials 1 and 9, whose
+  masked semantic loop now resolves at attempt 1 and whose TOT is now
+  lexical; its summary moved in the mean attempts and time only.
+- Every other records and summary file and every `LEXICONS` digest stayed.
 
 Stream version 3 re-pinned every digest below that moved, once, for one
 change and nothing else: trial t of a sweep point now runs on the point's
@@ -65,19 +80,23 @@ cell. Its exact score is 23/30; the float sum 2/30 + 0.7 gave
 
 No shipped config generates its lexicon, so `GENERATED` pins one more
 bundle: 300 generated words with damage, metamemory corruption, priming and
-a 2 x 2 sweep, in both formats. Its digests were taken before selection and
-generation were vectorized, so they show that both still consume the
-streams and rank the words exactly as the per-node loops did (its
-run_meta.json digests moved with the others for `interval_method`).
+a 2 x 2 sweep, in both formats. Its earlier digests were taken before
+selection and generation were vectorized, so they showed that both still
+consume the streams and rank the words exactly as the per-node loops did
+(its run_meta.json digests moved with the others for `interval_method`).
+Stream version 4 re-pinned its records and summaries with selection and
+generation unchanged; its `LEXICONS` digest did not move.
 
 No shipped config sets `fixed_cue_per_episode`, so `FIXED_CUE` pins one more
 bundle in both formats: delayed_resolution.json with a fixed cue per episode
 and a link gain of 0.2. Its semantic and lexical loops draw a fixed cue of
 all N units (1.0, and 1.0 + 0.2 capped at 1), its phonological loop one of
-floor((0.2 + 0.2) * 9) = 3. Its digests were taken while `recall_word`
-still drew each fixed cue and passed it to `recall_component`, so they show
-that `recall_component` drawing the cue itself consumes the stream at the
-same point.
+floor((0.2 + 0.2) * 9) = 3. Its version 3 digests were taken while
+`recall_word` still drew each fixed cue and passed it to
+`recall_component`, so they showed that `recall_component` drawing the cue
+itself consumes the stream at the same point. At stream version 4 each
+fixed cue, the full ones too, is one row of 9 uniform keys, so its records
+and summaries were re-pinned.
 """
 
 import hashlib
@@ -87,7 +106,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from totsim import output
+from numpy.random import Generator
+
+from totsim import experiment, output
 from totsim.cli import main
 from totsim.config import parse_config
 from totsim.experiment import build_scenario_lexicon, damaged_lexicon, sweep_points
@@ -99,38 +120,38 @@ N_TRIALS = 12
 GOLDEN = {
     "cue_sweep.json": {
         "records.csv": "ad5717646807255f91e246df421cf3533f6012a1a18c03a608efed82da9d2a60",
-        "run_meta.json": "4f2d1dbd87389d31ba889701eb80c9e0faccf56fc16f159e614a4c397a83c20e",
+        "run_meta.json": "e5e6434c46158946a2f9982dee5fae3c27370f4e0499a3fc2b2826c912d94ef8",
         "summary.csv": "22ec9272d69e7cde565964e5a881640cc95e7e0731ce7dae9349cebefe819c4e",
     },
     "damage_sweep.json": {
         "records.csv": "e82e169a824df6452c1599894c9c69257d86c0358549e648919e24e844054c90",
-        "run_meta.json": "1ac58a9e34279905d9bda46614aa81f479b36536b4b1d50c08868e6adc5d215a",
+        "run_meta.json": "d895e2d6d7d51aa26060d1db803a3d758a015876b228597865e5abbcd51fa12f",
         "summary.csv": "a4999229e7d95d0a6521e63c133d55563007b89100d05863c05d20c352ce74a1",
     },
     "delayed_resolution.json": {
         "records.csv": "64316c0e48745e8421d2b56f7648ac079c4ca46827d2afbc739b030ee07d581e",
-        "run_meta.json": "f222b8a16fc20ea5c89ee20429f8371ecc3f1783ed5ba62260875ea8bbc736c1",
+        "run_meta.json": "1e09804b4752f78122d67f56b7f9bb7f25311061f241c14da80e0c894cd1de63",
         "summary.csv": "8708a7f33f8dbdc2649b249e40e14b851a55a8db2dd5e2a04a98d7016b28e968",
     },
     "free_recall.json": {
         "records.csv": "6cc31a4431a31fd87a656052dbe5ea7f977ba8ecd953106a8acaeec42041fb49",
-        "run_meta.json": "a3a4d4c4148cbe50c6bd523c9952ecee02d82ea04ee89bb5b6d1a846fb3f597e",
+        "run_meta.json": "ed4a9574b1a9343d683b171c74ef0a34279cc162e4aab7833a6f61e902fe366c",
         "summary.csv": "c3a852dbf720b650b824ed52711102ceab6cbeab0c78ffb80c07285968ce357c",
     },
     "illusory_tot.json": {
         "records.csv": "de48730e14fc7f1c97b4327360a3a0ea9094e4f2456f47507728b9214cc57586",
-        "run_meta.json": "b2ecf1b66e3794bbf92405af27598442682aa773a95f30cee9354193134be15c",
+        "run_meta.json": "e55c59dd7c7df0c1ec089a827231452f2501cd8ccee3f0d5bb0a446ecdd23a98",
         "summary.csv": "1a0961d20fbc3bb4d3a5404d70e898f77c4bffb6ac0ae860377b5fe134570359",
     },
     "partial_information.json": {
         "records.csv": "f359cc282110596cab929e376391c6fc0228e6a9d625d6fb0c6d0766ea62d04b",
-        "run_meta.json": "1af2b2e887a6b4d429c1de6a32831e9b093de05e35a828be9e4526f4dff1eb7c",
+        "run_meta.json": "424ed1d88cc78c10cd5e34691720dd4b7d78e5ee7bfae9a9c2c7e440c5bfda48",
         "summary.csv": "4686922b575bf0618132bfad3fb5ac380cddd8129359f9e0bfa09343c4903ce3",
     },
     "priming_interloper.json": {
-        "records.csv": "8d9426216267925454445fd7d4a36639dc9ad4edb658fbdd158a83175ea1e8d6",
-        "run_meta.json": "d0c496480e693735bbea482a42ca7993c892844678ca717892013603f37e65ca",
-        "summary.csv": "6667be8ddb4850e11cc96418ae09437de21bccec4e48f3e224a022fbcc4e9b07",
+        "records.csv": "07299253e26973de3b115c4bec4ee7f8a3b14a9e3158315c42f5f61066f97b49",
+        "run_meta.json": "27abcc70a3a70fc86529b973b9807c3ae8f8a142ce7268fc75237da3a6a6807a",
+        "summary.csv": "37f94ecb4335774a9e7fec82b9782b4981c27f44ead5f7e34aa76125ac559d79",
     },
 }
 
@@ -139,38 +160,38 @@ GOLDEN = {
 GOLDEN_JSON = {
     "cue_sweep.json": {
         "records.json": "e5b59684a534998e879a1ebfb81c415f847aba128bdd676e136be1d2b2dfc972",
-        "run_meta.json": "4c2c1f46fba2765ca91c1db9c2371af3386aa7fea262bb1564d9326ec36e2839",
+        "run_meta.json": "e6b781d906108a56e99f60d2bd49a1656913c31d3a8294567780306f3f592566",
         "summary.json": "5d865c93478509d49ae7eed47017c876db2e67e6e83d0d6d57440f613d7c94c5",
     },
     "damage_sweep.json": {
         "records.json": "5d69b9534f64f4d1ed89236a2bb55025d466644351cfe7971a75a453eeda3a39",
-        "run_meta.json": "216a2c5cbf62fbeadab926ca5760c41841dcae0f7b50b2e92f931061f3f5c821",
+        "run_meta.json": "d69d8bb57a132e418651c67f791c480f870075a341bef7c563e7edd845b8ca8f",
         "summary.json": "b7c249a2d9ed5de3101ccc4936d64876d5e33af9eb7f4589d0588f6396fffc52",
     },
     "delayed_resolution.json": {
         "records.json": "f1fb7bf33f0e0c4a738e05f2beefce164833c48218582991a3aabb20536da262",
-        "run_meta.json": "44b8dbf331281b7d34b525dab4fed5eaa20587fdedd23826ff9047439c798999",
+        "run_meta.json": "b6d5d35550dedca6999672dcfa5283fad1a130764babf0d479646f64359b1ab5",
         "summary.json": "a386db08a408131a3a009209e7023277083b2995f48e9042ba12bb9f501fbc5c",
     },
     "free_recall.json": {
         "records.json": "aad0b0235a4deb979244db786e71ba6ffade576d533c586a96f037b2dc8c5bb9",
-        "run_meta.json": "d9b1cdaaa3e1d2047b19a19f3e394ebccc32dd68aa8fa00590a7897c7fefd480",
+        "run_meta.json": "6277a8de66778772f9b23c788b9f17e85d4607da044338562a9ff1ba9383a511",
         "summary.json": "f986bd9bd2afe3fc9586f87d83c8a42351104e82f59cfb911f0e888acf6cb282",
     },
     "illusory_tot.json": {
         "records.json": "8dc32a271f9f19ef2fd84a677ee21a65aeee73b00f2cabf80ef4637238869018",
-        "run_meta.json": "6284d550626b2b12d8926da2a4e9281fcc9a5b668a01580af06562a30573f3ce",
+        "run_meta.json": "13ba1fe7cee117ed5852c654adf0580d936ba1c5b8a83e8d83ca7a2c1ce05e53",
         "summary.json": "151275c7494b0359bbbac914dc2700dc633552825d6202385ffc37e5c068a345",
     },
     "partial_information.json": {
         "records.json": "4a996477d9c60a8125e84597e6385e1f1c94f02c611cba4e9dfe898fe77c6a81",
-        "run_meta.json": "0dbe4fbe29ddeb2b25c435338c3a7b97f7837d670d1702e9088c427700f8e842",
+        "run_meta.json": "c62de0d0c38a89883e3e0590f536cac8420816f8fa499f70eed1dfb201ec1dd1",
         "summary.json": "78bc9f34459b1b9d86f3880e41cb121b93fce381100a1a35b54be3e22435bf14",
     },
     "priming_interloper.json": {
-        "records.json": "0f8b9d7337cb51f710be1aeff7bde764aad2d1b5b611749fa1573c82fe8feb86",
-        "run_meta.json": "58c7c82f0a90721b7ef1f9996c222c55372e5840a5e6dc66727391bea522489c",
-        "summary.json": "5c16bce75e0c2c5046d200cdd51ddef5b07ece13ac4a0847cc753217a152c00f",
+        "records.json": "bdae78851c15b8e00a9448f824ad455009af3ef9a72a4004ac5083ce1a43375b",
+        "run_meta.json": "5f579d2030c169431c1676de56cf99b735b4af1ca7aa6b572300da152732d4b2",
+        "summary.json": "b6aac0b7f2843858908b7b026812f76922ecc83e69ffddbe788353e99c6372dd",
     },
 }
 
@@ -207,27 +228,29 @@ GENERATED_CONFIG = {
 
 GENERATED = {
     "csv": {
-        "records.csv": "d00089f45960fa371545837cb9396b90157a9a91f71451d816d8127a1fc79c70",
-        "run_meta.json": "a6755764ba88f5ec1db9c118db5565254d875b7beea7a59f8711b00d7ad9d3f6",
-        "summary.csv": "626f60cb320bfef2c3b7aecc3d07fd3ff7b756220931afdf076fdd1542891c6f",
+        "records.csv": "faca7737c1257d5a446d1cc5dceb2127b42d10e33b58051aa9fb91884bcd4319",
+        "run_meta.json": "2d3cd4ca029fe929c5770d0cb742d14af202a1c14bf02092384261833ae08268",
+        "summary.csv": "0906987893041777269d9d76505c7e441312b51dbc13a842a35e1754dafcd3f7",
     },
     "json": {
-        "records.json": "7a9c7f5aa7eeab56aaa3e67681cbb347bee25c85af48eab7d3a281b5b6dfc882",
-        "run_meta.json": "b7c3c1a95e0a0e44f0e4adde0b7b2f3be8fba587b23c31aa1cc28e360290018a",
-        "summary.json": "bd78ef99b6e57b8e8e0e44f9e326303f5213b6addef69f31826eb255d29315d4",
+        "records.json": "b570990f9a49fc694c1a9fdd7f4ae90ad0025cef8f089cebd00840444642a4ac",
+        "run_meta.json": "7e8aea1facda6b7a58a3d8d9cedd3e3e219fb6afb1f86ff996dafb1b9f0dfcdc",
+        "summary.json": "ed0af4143cf0d0a6dfbde9ffbc7170c9c9328d7c59c99a31eadece6a315da783",
     },
 }
 
+FIXED_CUE_RECALL = {"fixed_cue_per_episode": True, "link_gain": 0.2}
+
 FIXED_CUE = {
     "csv": {
-        "records.csv": "b5bb46c054c2bac421331007ab34722905c5c6c5e91340c778c302a1862915f5",
-        "run_meta.json": "5aa40f2c494baeb0773547a7c240b679a0725af9350a7a1a836905f383e56365",
-        "summary.csv": "ce17e705708f43f9a517ef3963ad75e99c4ac6d8e581eb9046fb49ad72b9ce9b",
+        "records.csv": "7bcb0666f2c00e2664a2aaa73de5b12ad875cb3f162fad54429425065fed9d25",
+        "run_meta.json": "c9c41f66077fa7c297601ee493bfb2f25c688078fe3db44cae79cdfdcedf811f",
+        "summary.csv": "6ff2c1ce70d5de165b4e13c25a157f3bc80fad7d71f32a44959c362efdaae807",
     },
     "json": {
-        "records.json": "2c08701f8a6cfdb23ca62b5a6179380ed4516da0240996b1d22be71f840d1687",
-        "run_meta.json": "6c3b18b8b3d3824dcb673f377e2c00c3db3da6c94319c84e72bab271578347e3",
-        "summary.json": "def8e164381fb6abe4c990758f8f823cc29e56b317326e364f8e3dc88dd6bdde",
+        "records.json": "dae0417dec93e783606680d4f2a2238c9eabafb56da0a8f6d33702907ab6e9e8",
+        "run_meta.json": "d05bf3e2202b834bf4cb61e3640ba77bd90174eae2015679fbb1dd8271ed9f40",
+        "summary.json": "90d2f6a41f2415634bffb0b371af237c25fff2f88dc538d04fdfaa5fbde9f57d",
     },
 }
 
@@ -328,8 +351,34 @@ def test_generated_lexicon_bytes_are_pinned(fmt, tmp_path):
 
 @pytest.mark.parametrize("fmt", sorted(FIXED_CUE))
 def test_fixed_cue_bytes_are_pinned(fmt, tmp_path):
-    fixed = {"fixed_cue_per_episode": True, "link_gain": 0.2}
-    assert bundle("delayed_resolution.json", tmp_path, fmt, fixed) == FIXED_CUE[fmt]
+    assert bundle("delayed_resolution.json", tmp_path, fmt, FIXED_CUE_RECALL) == FIXED_CUE[fmt]
+
+
+class NoChoiceGenerator(Generator):
+    """A trial generator without `choice`: every subset a trial draws is
+    the units of its smallest uniform keys."""
+
+    def choice(self, *args, **kwargs):
+        raise AssertionError("a trial called Generator.choice")
+
+
+@pytest.mark.parametrize(
+    "name, recall",
+    [pytest.param(name, {}, id=name) for name in sorted(GOLDEN) + ["generated"]]
+    + [pytest.param("delayed_resolution.json", FIXED_CUE_RECALL, id="fixed_cue")],
+)
+def test_a_trial_never_calls_choice(name, recall, monkeypatch):
+    if name == "generated":
+        raw = dict(GENERATED_CONFIG)
+    else:
+        raw = json.loads((CONFIGS / name).read_text())
+        raw["recall"].update(recall)
+    raw["n_trials"] = 4
+    cfg, _ = parse_config(raw)
+    monkeypatch.setattr(experiment, "Generator", NoChoiceGenerator)
+    records = experiment.run_trials(cfg)
+    trials = {(r.sweep_q, r.sweep_d, r.flip_rate, r.trial) for r in records}
+    assert len(trials) == 4 * len(sweep_points(cfg))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -12,6 +12,7 @@ from totsim.errors import ConfigError, DimensionError, GenerationError, Paramete
 from totsim.experiment import PrimingEntry, ScenarioConfig, materialize_bonuses
 from totsim.lexicon import (
     COMPONENTS,
+    Completeness,
     GeneratorSpec,
     Lexicon,
     LexiconSpec,
@@ -275,7 +276,7 @@ class TestSelectNode:
     def test_exact_input_selects_with_full_completeness(self):
         lex = explicit_lexicon(word_spec("apple", "++-+--++-"))
         node, completeness = lex.select_node(BipolarPattern.from_text("++-+--++-"))
-        assert node.id == "apple" and completeness == Fraction(1)
+        assert node.id == "apple" and completeness.exact == Fraction(1)
 
     def test_primed_score_equal_to_the_threshold_selects(self):
         # Overlap 14 of 20 plus 0.1 is exactly 0.8, though the float sum
@@ -295,7 +296,7 @@ class TestSelectNode:
         lex = Lexicon((explicit_word("w", p),), selection_threshold=0.8)
         x = p.with_flipped([0, 1, 2])
         node, completeness = lex.select_node(x, {"w": 0.1})
-        assert node.id == "w" and completeness == Fraction(4, 5)
+        assert node.id == "w" and completeness.exact == Fraction(4, 5)
         params = with_uniform_cue(1.0)
         outcome = recall_word(lex, x, params, default_rng(0), {"w": 0.1})
         assert outcome.completeness == 0.8
@@ -305,7 +306,7 @@ class TestSelectNode:
         p = BipolarPattern([1] * 20)
         lex = Lexicon((explicit_word("w", p),), selection_threshold=0.7)
         node, completeness = lex.select_node(p.with_flipped([0, 1, 2]))
-        assert node.id == "w" and completeness == Fraction(7, 10)
+        assert node.id == "w" and completeness.exact == Fraction(7, 10)
         assert lex.select_node(p.with_flipped([0, 1, 2, 3])) is None
 
     def test_primed_and_unprimed_exact_tie_goes_to_the_smaller_id(self):
@@ -342,9 +343,9 @@ class TestSelectNode:
             selection_threshold=0.3,
         )
         node, completeness = lex.select_node(x)
-        assert node.id == "a" and completeness == Fraction(1, 2)
+        assert node.id == "a" and completeness.exact == Fraction(1, 2)
         node, completeness = lex.select_node(x, bonuses={"b": 0.3})
-        assert node.id == "b" and completeness == Fraction(11, 20)
+        assert node.id == "b" and completeness.exact == Fraction(11, 20)
 
     def test_priming_expires_exactly(self):
         # A prime with decay_trials = 2 wins trials 0 and 1 and is gone at 2.
@@ -447,7 +448,7 @@ class TestSelectionMatchesPerNodeLoop:
             assert got is None
         else:
             assert got is not None
-            assert got[0] is want[0] and got[1] == want[1]
+            assert got[0] is want[0] and got[1] == Completeness.of(want[1])
 
     @given(selections(), st.sampled_from((-1, 1)))
     def test_wrong_input_length_raises(self, case, delta):
@@ -467,7 +468,7 @@ class TestSelectionMatchesPerNodeLoop:
         lex = Lexicon(tuple(explicit_word(i, p) for i in ("w2", "w10", "w3")), 0.2)
         assert lex.select_node(p.negate()) is None
         node, score = lex.select_node(p.negate(), {"w10": 0.1, "w3": 0.25, "ghost": 0.9})
-        assert node.id == "w3" and score == Fraction(1, 4)
+        assert node.id == "w3" and score.exact == Fraction(1, 4)
 
     def test_negative_bonus_on_the_best_word_hands_selection_on(self):
         a = BipolarPattern([1] * 16)
@@ -475,7 +476,7 @@ class TestSelectionMatchesPerNodeLoop:
         x = a.with_flipped([8, 9, 10, 11])  # overlaps: a 0.5, b 0.25
         lex = Lexicon((explicit_word("a", a), explicit_word("b", b)), 0.1)
         node, score = lex.select_node(x, {"a": -0.4})
-        assert node.id == "b" and score == Fraction(1, 4)
+        assert node.id == "b" and score.exact == Fraction(1, 4)
 
     def test_selection_makes_no_per_node_overlap_call(self, monkeypatch):
         lengths = {c: 15 for c in COMPONENTS}

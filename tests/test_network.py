@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from numpy.random import SeedSequence, default_rng
 from totsim.errors import DimensionError, ParameterError, TrainingError
 from totsim.network import ComponentNetwork, train
 from totsim.patterns import BipolarPattern, overlap, random_pattern
+
+from helpers import assert_uniform_subsets
 
 units = st.sampled_from((1, -1))
 odd_n = st.integers(min_value=2, max_value=31).map(lambda k: 2 * k + 1)
@@ -249,14 +252,29 @@ class TestApplyMask:
             assert np.array_equal(masked.retrieve_once(probe), zeroed.retrieve_once(probe))
 
     def test_masked_network_shares_the_matrix_and_draws_once(self):
+        """The mask is the units of the k smallest of one row of 15 uniform
+        keys, a row drawn also when k is 0 or 15, and the stream ends where
+        drawing that row leaves it, with or without a uint32 buffered."""
         net = train([random_pattern(15, default_rng(25))]).damage(0.2, default_rng(26))
-        rng, twin = default_rng(27), default_rng(27)
-        masked = net.apply_mask(0.375, rng)  # floor(0.375 * 15) = 5 units
-        assert masked.w_int is net.w_int
-        assert masked.mask == frozenset(twin.choice(15, size=5, replace=False).tolist())
-        assert rng.random() == twin.random()
-        assert masked.stored is net.stored
-        assert masked.damage_fraction == net.damage_fraction and net.mask == frozenset()
+        for fraction, k in ((0.375, 5), (0.0, 0), (1.0, 15)):  # floor(0.375 * 15) = 5
+            for buffered in (False, True):
+                rng, twin = default_rng(27), default_rng(27)
+                if buffered:
+                    for g in (rng, twin):
+                        g.integers(0, 2**32, dtype=np.uint32)
+                masked = net.apply_mask(fraction, rng)
+                assert masked.w_int is net.w_int
+                want = np.argpartition(twin.random(15), k - 1)[:k]
+                assert masked.mask == frozenset(want.tolist()) and len(masked.mask) == k
+                assert rng.bit_generator.state == twin.bit_generator.state
+                assert masked.stored is net.stored
+                assert masked.damage_fraction == net.damage_fraction and net.mask == frozenset()
+
+    @pytest.mark.parametrize("n, k", [(5, 2), (6, 3)])
+    def test_masks_are_uniform_over_the_subsets(self, n, k):
+        net, rng = train([random_pattern(n, default_rng(28))]), default_rng(29)
+        draws = [net.apply_mask(Fraction(k, n), rng).mask for _ in range(20_000)]
+        assert_uniform_subsets(draws, n, k)
 
     def test_mask_union_with_existing(self):
         p = random_pattern(10, default_rng(22))

@@ -24,9 +24,22 @@ from totsim.recall import (
     recall_word,
 )
 
-from helpers import explicit_word, with_uniform_cue
+from helpers import assert_uniform_subsets, explicit_word, with_uniform_cue
 
 P9 = BipolarPattern.from_text("++-+--++-")
+
+
+def spy_cues(monkeypatch):
+    """Record the cue units of every probe block built, as a set."""
+    cues = []
+    original = recall.generate_probe
+
+    def generate_probe(ref_units, cue_indices, uniforms):
+        cues.append(frozenset(np.asarray(cue_indices).tolist()))
+        return original(ref_units, cue_indices, uniforms)
+
+    monkeypatch.setattr(recall, "generate_probe", generate_probe)
+    return cues
 
 
 def single_word_lexicon(pattern=P9, threshold=0.3):
@@ -161,6 +174,32 @@ class TestRecallComponent:
         for cues, probes in blocks:
             assert np.array_equal(cues, cue)
             assert (probes[:, cue] == ref.units[cue]).all()
+
+    @pytest.mark.parametrize("k", [0, 3, 9])
+    def test_a_fixed_cue_is_the_units_of_the_k_smallest_keys(self, monkeypatch, k):
+        """A fixed cue is one row of N uniform keys, drawn before the probe
+        block also when k is 0 or N, and its units are those of the k
+        smallest keys; a uint32 buffered before the loop stays buffered."""
+        cues = spy_cues(monkeypatch)
+        rng, twin = default_rng(30), default_rng(30)
+        for g in (rng, twin):
+            g.integers(0, 2**32, dtype=np.uint32)
+        out = recall_component(train([P9]), P9.with_flipped([0]), k, 4, rng, fixed_cue=True)
+        assert out.attempts == 4  # no output is the flipped reference
+        want = np.argpartition(twin.random(9), k - 1)[:k]
+        twin.random((4, 9))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        # A full cue's loop is evaluated from the network's image, no probe.
+        assert cues == ([] if k == 9 else [frozenset(want.tolist())])
+
+    @pytest.mark.parametrize("n, k", [(5, 2), (6, 3)])
+    def test_fixed_cues_are_uniform_over_the_subsets(self, monkeypatch, n, k):
+        cues = spy_cues(monkeypatch)
+        p, rng = random_pattern(n, default_rng(31)), default_rng(32)
+        net = train([p])
+        for _ in range(20_000):
+            recall_component(net, p, k, 1, rng, fixed_cue=True)
+        assert_uniform_subsets(cues, n, k)
 
     def test_parameter_validation(self):
         net = train([P9])

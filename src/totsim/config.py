@@ -65,7 +65,7 @@ def _as_number(value, path: str, lo=None, hi=None, lo_open=False, hi_open=False)
         raise ConfigError(path, f"value {value} below allowed range")
     if hi is not None and (x > hi or (hi_open and x == hi)):
         raise ConfigError(path, f"value {value} above allowed range")
-    return x
+    return x + 0.0  # -0.0 reads as 0.0, so both spellings write the same bytes
 
 
 def _as_int(value, path: str, lo=None, hi=None) -> int:
@@ -320,14 +320,24 @@ def parse_config(raw: dict) -> tuple[ScenarioConfig, list[str]]:
     return cfg, applied
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, whose keys must each be given once: `json.loads`
+    would silently keep the last of a repeated key."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ConfigError(next(k for k in keys if keys.count(k) > 1), "given more than once")
+    return dict(pairs)
+
+
 def load_raw_config(path) -> dict:
-    """Read a scenario file as a raw dict, without validation."""
+    """Read a scenario file as a raw dict, without validation beyond JSON
+    syntax and keys given once per object."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}") from exc
 

@@ -524,11 +524,12 @@ def _rate_interval(count: int, n: int) -> tuple[float, float, float]:
     return rate, max(0.0, min(rate, center - half)), min(1.0, max(rate, center + half))
 
 
-def summarize(records: list[TrialRecord], strength_threshold: float = 0.7) -> list[SummaryRow]:
+def summarize(records: list[TrialRecord], strength_threshold: float) -> list[SummaryRow]:
     """Per-sweep-point statistics with 95% Wilson score intervals.
 
-    `strong_tot_share` is the share of TOT records at or above the strength
-    threshold; `eventual_resolution_rate` is the fraction of trials whose
+    `strong_tot_share` is the share of TOT records at or above
+    `strength_threshold`, the run's `recall.strength_threshold`;
+    `eventual_resolution_rate` is the fraction of trials whose
     final episode resolved. Every record of a run names the lexicon's
     declared slots (see `recall_word`), so every row has a rate for each.
     """

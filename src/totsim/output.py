@@ -1,12 +1,17 @@
 """Deterministic emission of trial records, summaries, and run metadata.
 
-The records CSV has one column per `TrialRecord` field, with one flag
-column per declared slot in place of `partial_info` (`record_columns`);
-`CSV_SCHEMA_VERSION` versions that rule, and `JSON_SCHEMA_VERSION` the
-records.json and summary.json payloads, so a change to one format moves
-no byte of the other. Booleans are 0/1, times decimal milliseconds with
-three fractional digits, other floats shortest round-trip decimals. Files are written to a temporary name and renamed, so
-failures never leave partial output behind.
+One column table per row type, `columns(cls, slots)`, drives both CSVs and
+summary.json: one column per `TrialRecord` or `SummaryRow` field, with the
+row's one slot dict expanded in place into one column per declared slot
+(`slot_<name>` flags for `partial_info`, `slot_<name>_rate` for
+`slot_rates`). summary.json's objects are keyed by summary.csv's column
+names; records.json keeps each record's nested per-slot map.
+`CSV_SCHEMA_VERSION` versions the records CSV, and `JSON_SCHEMA_VERSION`
+the records.json and summary.json payloads, so a change to one format
+moves no byte of the other. Booleans are 0/1, times decimal milliseconds
+with three fractional digits, other floats shortest round-trip decimals.
+Files are written to a temporary name and renamed, so failures never
+leave partial output behind.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 import secrets
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -43,24 +48,35 @@ def parse_flag(text: str) -> bool:
     return bool(int(text))
 
 
-# How a cell of a `TrialRecord` field is written, by the field's type; the
-# type itself parses it back.
+# How a cell is written, by its column's type; the type itself parses it back.
 _FORMAT = {int: str, float: fmt_float, str: str}
+# Each row type's one slot dict, by field name, as (column name pattern,
+# parse, format) of the column each declared slot becomes.
+_SLOT_COLUMN = {"partial_info": ("slot_{}", parse_flag, fmt_flag),
+                "slot_rates": ("slot_{}_rate", float, fmt_float)}
+
+
+def columns(cls, slots) -> list[tuple]:
+    """The CSV columns, as (name, parse, format), of row dataclass `cls`
+    (`TrialRecord` or `SummaryRow`) in a run whose lexicon declares `slots`:
+    one per field, in field order, with the row's slot dict expanded in
+    place into one column per slot, in name order (`slot_<name>` flags for
+    `partial_info`, `slot_<name>_rate` floats for `slot_rates`).
+    `total_time_ms` is written with three decimals; any other field by its
+    type."""
+    out = []
+    for name, kind in get_type_hints(cls).items():
+        if name in _SLOT_COLUMN:
+            pattern, parse, fmt = _SLOT_COLUMN[name]
+            out += [(pattern.format(slot), parse, fmt) for slot in sorted(slots)]
+        else:
+            out.append((name, kind, fmt_ms if name == "total_time_ms" else _FORMAT[kind]))
+    return out
 
 
 def record_columns(slots) -> list[tuple]:
-    """The records CSV columns, as (name, parse, format), of a run whose
-    lexicon declares `slots`: one per `TrialRecord` field, in field order,
-    with `partial_info` expanded in place into one `slot_<name>` flag column
-    per slot, in name order. `total_time_ms` is written with three
-    decimals; any other field by its type."""
-    columns = []
-    for name, kind in get_type_hints(TrialRecord).items():
-        if name == "partial_info":
-            columns += [(f"slot_{slot}", parse_flag, fmt_flag) for slot in sorted(slots)]
-        else:
-            columns.append((name, kind, fmt_ms if name == "total_time_ms" else _FORMAT[kind]))
-    return columns
+    """The records CSV columns of a run whose lexicon declares `slots`."""
+    return columns(TrialRecord, slots)
 
 
 def _atomic_write(path, text: str) -> None:
@@ -75,19 +91,39 @@ def _atomic_write(path, text: str) -> None:
         raise
 
 
-def write_records_csv(records: list[TrialRecord], path) -> None:
-    """One row per record under `record_columns`; the slots are those every
-    record names."""
-    slots = sorted(records[0].partial_info) if records else []
-    columns = record_columns(slots)
-    formats = [fmt for _, _, fmt in columns]
-    at = list(get_type_hints(TrialRecord)).index("partial_info")
-    lines = [",".join(name for name, _, _ in columns)]
-    for record in records:
-        values = list(vars(record).values())  # set by __init__ in field order
-        values[at:at + 1] = [values[at][slot] for slot in slots]
-        lines.append(",".join([fmt(v) for fmt, v in zip(formats, values)]))
+def _table(cls, rows):
+    """The column names and formats of `rows`, each a `cls`, and an iterator
+    over each row's values under them. The slots are those the first row
+    names (every row of a run names the same). The slot dict's index and the
+    slots are found once; each row's slot values are spliced in there."""
+    at, field = next((i, f.name) for i, f in enumerate(fields(cls)) if f.name in _SLOT_COLUMN)
+    slots = sorted(getattr(rows[0], field)) if rows else []
+    names, _, formats = zip(*columns(cls, slots))
+
+    def values():
+        for row in rows:
+            spliced = list(vars(row).values())  # set by __init__ in field order
+            spliced[at:at + 1] = [spliced[at][slot] for slot in slots]
+            yield spliced
+
+    return names, formats, values()
+
+
+def _write_csv(cls, rows, path) -> None:
+    names, formats, values = _table(cls, rows)
+    lines = [",".join(names)]
+    lines += [",".join([fmt(v) for fmt, v in zip(formats, row)]) for row in values]
     _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def write_records_csv(records: list[TrialRecord], path) -> None:
+    """One row per record under `record_columns`."""
+    _write_csv(TrialRecord, records, path)
+
+
+def write_summary_csv(rows: list[SummaryRow], path) -> None:
+    """One row per sweep point under `columns(SummaryRow, slots)`."""
+    _write_csv(SummaryRow, rows, path)
 
 
 def read_record_rows(path) -> list[dict]:
@@ -102,16 +138,16 @@ def read_record_rows(path) -> list[dict]:
     """
     lines = Path(path).read_text().splitlines()
     header = lines[0].split(",") if lines else []
-    columns = record_columns({name[len("slot_"):] for name in header if name.startswith("slot_")})
-    if header != [name for name, _, _ in columns]:
+    table = record_columns({name[len("slot_"):] for name in header if name.startswith("slot_")})
+    if header != [name for name, _, _ in table]:
         raise ParameterError(f"unexpected records header in {path}")
     rows = []
     for i, line in enumerate(lines[1:]):
         values = line.split(",")
-        if len(values) != len(columns):
+        if len(values) != len(table):
             raise ParameterError(f"malformed records row {i}: {line!r}")
         row = {}
-        for (name, parse, fmt), cell in zip(columns, values):
+        for (name, parse, fmt), cell in zip(table, values):
             try:
                 row[name] = parse(cell)
                 written = fmt(row[name]) == cell
@@ -125,40 +161,20 @@ def read_record_rows(path) -> list[dict]:
     return rows
 
 
-def write_records_json(records: list[TrialRecord], path) -> None:
-    payload = {
-        "schema_version": JSON_SCHEMA_VERSION,
-        "records": [asdict(r) for r in records],
-    }
+def _write_json(path, key: str, objs: list[dict]) -> None:
+    payload = {"schema_version": JSON_SCHEMA_VERSION, key: objs}
     _atomic_write(path, json.dumps(payload, indent=2) + "\n")
 
 
-def _summary_obj(row: SummaryRow) -> dict:
-    """The row's fields, with `slot_rates` flattened into `slot_<name>_rate`."""
-    out = asdict(row)
-    slot_rates = out.pop("slot_rates")
-    for name in sorted(slot_rates):
-        out[f"slot_{name}_rate"] = slot_rates[name]
-    return out
-
-
-def write_summary_csv(rows: list[SummaryRow], path) -> None:
-    objs = [_summary_obj(r) for r in rows]
-    names = list(objs[0]) if objs else []
-    lines = [",".join(names)]
-    for obj in objs:
-        lines.append(
-            ",".join(
-                str(obj[name]) if isinstance(obj[name], int) else fmt_float(obj[name])
-                for name in names
-            )
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
+def write_records_json(records: list[TrialRecord], path) -> None:
+    """Each record's fields, `partial_info` kept as its per-slot map."""
+    _write_json(path, "records", [asdict(r) for r in records])
 
 
 def write_summary_json(rows: list[SummaryRow], path) -> None:
-    payload = {"schema_version": JSON_SCHEMA_VERSION, "summary": [_summary_obj(r) for r in rows]}
-    _atomic_write(path, json.dumps(payload, indent=2) + "\n")
+    """Each row as an object keyed by the summary CSV's column names."""
+    names, _, values = _table(SummaryRow, rows)
+    _write_json(path, "summary", [dict(zip(names, row)) for row in values])
 
 
 def build_metadata(normalized_config: dict, defaults_applied: list[str], fmt: str, version: str) -> dict:

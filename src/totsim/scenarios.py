@@ -7,9 +7,9 @@ scenario's name.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
+from .config import load_raw_config
 from .errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parents[2] / "configs"
@@ -24,4 +24,4 @@ def load(name: str, **overrides) -> dict:
     """The raw config of scenario `name`, with the given top-level keys replaced."""
     if name not in names():
         raise ConfigError("scenario", f"unknown scenario {name!r}; shipped: {', '.join(names())}")
-    return {**json.loads((CONFIGS / f"{name}.json").read_text()), **overrides}
+    return {**load_raw_config(CONFIGS / f"{name}.json"), **overrides}

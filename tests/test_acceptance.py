@@ -172,7 +172,7 @@ def test_criterion_09_illusory_tot():
 def test_criterion_10_partial_information():
     cfg, _ = parse_config(sc.load("partial_information", seed=1010, n_trials=10000))
     records = run_trials(cfg)
-    row = summarize(records)[0]
+    row = summarize(records, cfg.recall.strength_threshold)[0]
     slot_rate = row.slot_rates["first_letter"]
     ok = len(records) == 10000
     ok &= slot_rate >= row.resolved_rate

@@ -8,8 +8,10 @@ from totsim import cli
 from totsim import scenarios as sc
 from totsim.cli import main
 from totsim.config import parse_config
-from totsim.experiment import run_trials
-from totsim.output import read_record_rows, record_columns
+from totsim.errors import ConfigError
+from totsim.experiment import SummaryRow, run_trials, summarize
+from totsim.lexicon import COMPONENTS
+from totsim.output import columns, read_record_rows, record_columns
 
 
 def write_config(tmp_path, raw, name="scenario.json"):
@@ -391,6 +393,90 @@ class TestValidate:
         assert "lexicon.words[0].phonological" in capsys.readouterr().err
 
 
+    def test_a_repeated_key_exits_2(self, tmp_path, capsys):
+        text = json.dumps(minimal_raw(seed=1, n_trials=3))
+        path = tmp_path / "scenario.json"
+        path.write_text(text.replace('"seed": 1', '"seed": 1, "seed": 2').replace(
+            '"n_trials": 3', '"n_trials": 3, "n_trials": 5'))
+        assert main(["validate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "seed" in captured.err
+
+    def test_a_repeated_nested_key_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(minimal_raw()).replace(
+            '"max_attempts": 8', '"max_attempts": 8, "max_attempts": 9'))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "max_attempts" in capsys.readouterr().err
+
+    def test_negative_zero_is_echoed_as_zero(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, negative_zero_raw(-0.0))
+        assert main(["validate", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "-0.0" not in out
+        echoed = json.loads(out)
+        assert echoed["recall"]["cue_fraction"] == {c: 0.0 for c in COMPONENTS}
+        assert echoed["sweep"]["q"][0] == 0.0 and echoed["damage"][0]["fraction"] == 0.0
+
+
+def negative_zero_raw(zero):
+    """A config with `zero` as its cue fraction, first q and flip rate of the
+    sweep, and damage fraction."""
+    return minimal_raw(
+        recall={"cue_fraction": zero, "max_attempts": 4},
+        damage=[{"word": "apple", "component": "phonological", "fraction": zero}],
+        sweep={"q": [zero, 0.5], "flip_rate": [zero, 0.1]},
+        n_trials=4,
+    )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_both_spellings_of_zero_give_identical_bundles(fmt, tmp_path):
+    bundles = []
+    for zero in (0.0, -0.0):
+        out = tmp_path / repr(zero)
+        cfg = write_config(tmp_path, negative_zero_raw(zero), name=f"{zero!r}.json")
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--format", fmt]) == 0
+        bundles.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert bundles[0] == bundles[1]
+    assert all(b"-0.0" not in data for data in bundles[1].values())
+
+
+def test_the_cli_summary_uses_the_configs_strength_threshold(tmp_path):
+    raw = sc.load("damage_sweep", n_trials=40)
+    raw["recall"]["strength_threshold"] = 0.9
+    cfg, _ = parse_config(raw)
+    records = run_trials(cfg)
+    library = [row.strong_tot_share for row in summarize(records, cfg.recall.strength_threshold)]
+    assert library != [row.strong_tot_share for row in summarize(records, 0.7)]
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 0
+    header, *lines = (out / "summary.csv").read_text().splitlines()
+    at = header.split(",").index("strong_tot_share")
+    assert [float(line.split(",")[at]) for line in lines] == library
+
+
+def test_summary_files_share_one_column_table(tmp_path):
+    """summary.json's keys are summary.csv's header, every summary.csv cell is
+    in its column's written form, and the JSON values are the parsed cells."""
+    config = write_config(tmp_path, sc.load("partial_information", n_trials=6))
+    for fmt in ("csv", "json"):
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / fmt), "--format", fmt]) == 0
+    header, *lines = (tmp_path / "csv" / "summary.csv").read_text().splitlines()
+    header = header.split(",")
+    slots = [name[len("slot_"):-len("_rate")] for name in header if name.startswith("slot_")]
+    assert slots == ["first_letter"]
+    table = columns(SummaryRow, slots)
+    assert header == [name for name, _, _ in table]
+    objs = json.loads((tmp_path / "json" / "summary.json").read_text())["summary"]
+    assert len(objs) == len(lines) == 1
+    for line, obj in zip(lines, objs):
+        cells = line.split(",")
+        assert list(obj) == header
+        assert [fmt(parse(cell)) for (_, parse, fmt), cell in zip(table, cells)] == cells
+        assert list(obj.values()) == [parse(cell) for (_, parse, _), cell in zip(table, cells)]
+
+
 class TestBundledConfigs:
     def test_every_bundled_config_validates(self, capsys):
         import pathlib
@@ -416,3 +502,9 @@ class TestBundledConfigs:
         assert sc.load("free_recall", n_trials=5) == {**sc.load("free_recall"), "n_trials": 5}
         with pytest.raises(ConfigError, match="shipped: cue_sweep"):
             sc.load("no_such_scenario")
+
+    def test_scenarios_are_read_by_the_config_reader(self, tmp_path, monkeypatch):
+        (tmp_path / "twice.json").write_text('{"seed": 1, "seed": 2}')
+        monkeypatch.setattr(sc, "CONFIGS", tmp_path)
+        with pytest.raises(ConfigError, match="given more than once"):
+            sc.load("twice")

@@ -419,6 +419,37 @@ class TestNonFiniteNumbers:
         assert path_of(e) == "recall.chronometry.spike_ms"
 
 
+class TestRepeatedKeys:
+    """`json.loads` keeps the last of a repeated key; a scenario file that
+    gives a key twice is rejected instead, at any depth."""
+
+    def test_top_level_key_given_twice(self, tmp_path):
+        config = tmp_path / "config.json"
+        text = json.dumps(minimal_raw(n_trials=3))
+        config.write_text(text.replace('"seed": 7', '"seed": 1, "seed": 2').replace(
+            '"n_trials": 3', '"n_trials": 3, "n_trials": 5'))
+        with pytest.raises(ConfigError, match="given more than once") as e:
+            load_raw_config(config)
+        assert path_of(e) == "seed"
+
+    def test_nested_key_given_twice(self, tmp_path):
+        config = tmp_path / "config.json"
+        text = json.dumps(minimal_raw(recall={"max_attempts": 4}))
+        config.write_text(text.replace('"max_attempts": 4', '"max_attempts": 4, "max_attempts": 6'))
+        with pytest.raises(ConfigError, match="given more than once") as e:
+            load_raw_config(config)
+        assert path_of(e) == "max_attempts"
+
+    def test_the_same_key_in_sibling_objects_passes(self, tmp_path):
+        config = tmp_path / "config.json"
+        raw = minimal_raw(damage=[
+            {"word": "apple", "component": "lexical", "fraction": 0.1},
+            {"word": "apple", "component": "phonological", "fraction": 0.2},
+        ])
+        config.write_text(json.dumps(raw))
+        assert load_raw_config(config) == raw
+
+
 def generated_raw(count, **overrides):
     raw = {
         "seed": 1,

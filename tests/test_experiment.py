@@ -715,14 +715,16 @@ class TestRateInterval:
         assert 0.0 <= low <= rate <= high <= 1.0
 
     def test_summary_rows_carry_wilson_bounds(self):
-        row = summarize(run_trials(single_word_cfg(n_trials=10)))[0]
+        cfg = single_word_cfg(n_trials=10)
+        row = summarize(run_trials(cfg), cfg.recall.strength_threshold)[0]
         assert row.resolved_rate == 1.0 and row.resolved_ci_low < 1.0
         assert row.tot_rate == 0.0 and row.tot_ci_high > 0.0
 
 
 class TestSummarize:
     def test_all_resolved(self):
-        rows = summarize(run_trials(single_word_cfg(n_trials=10)))
+        cfg = single_word_cfg(n_trials=10)
+        rows = summarize(run_trials(cfg), cfg.recall.strength_threshold)
         assert len(rows) == 1
         row = rows[0]
         assert row.resolved_rate == 1.0 and row.tot_rate == 0.0 and row.noaccess_rate == 0.0
@@ -747,7 +749,7 @@ class TestSummarize:
                 ],
             },
         )
-        rows = summarize(run_trials(cfg))
+        rows = summarize(run_trials(cfg), cfg.recall.strength_threshold)
         row = rows[0]
         assert 0.0 < row.noaccess_rate < 1.0  # mixed outcomes present
         assert abs(row.resolved_rate + row.tot_rate + row.noaccess_rate - 1.0) < 1e-9
@@ -758,9 +760,14 @@ class TestSummarize:
         ):
             assert 0.0 <= lo <= rate <= hi <= 1.0
 
+    def test_the_strength_threshold_has_no_default(self):
+        records = run_trials(single_word_cfg(n_trials=2))
+        with pytest.raises(TypeError):
+            summarize(records)
+
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
-            summarize([])
+            summarize([], 0.7)
 
     def test_slot_rates_reported(self):
         cfg = single_word_cfg(
@@ -777,7 +784,7 @@ class TestSummarize:
             },
             n_trials=5,
         )
-        rows = summarize(run_trials(cfg))
+        rows = summarize(run_trials(cfg), cfg.recall.strength_threshold)
         assert rows[0].slot_rates == {"first_letter": 1.0}
 
 

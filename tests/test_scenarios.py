@@ -21,20 +21,20 @@ class TestScenarioLibrary:
 
     def test_free_recall_attempt_cost(self):
         cfg, records = run(sc.load("free_recall", n_trials=800))
-        rows = summarize(records)
+        rows = summarize(records, cfg.recall.strength_threshold)
         assert rows[0].resolved_rate == 1.0
         # three components, about two one-pass attempts each
         assert 5.0 < rows[0].mean_attempts < 7.5
 
     def test_cue_intensity_speeds_up_retrieval(self):
         cfg, records = run(sc.load("cue_sweep", n_trials=300))
-        rows = sorted(summarize(records), key=lambda r: r.sweep_q)
+        rows = sorted(summarize(records, cfg.recall.strength_threshold), key=lambda r: r.sweep_q)
         assert rows[0].mean_attempts > rows[-1].mean_attempts + 1.0
         assert all(r.resolved_rate > 0.99 for r in rows)
 
     def test_damage_raises_tot_rate(self):
         cfg, records = run(sc.load("damage_sweep", n_trials=400))
-        rows = sorted(summarize(records), key=lambda r: r.sweep_d)
+        rows = sorted(summarize(records, cfg.recall.strength_threshold), key=lambda r: r.sweep_d)
         tot_rates = [r.tot_rate for r in rows]
         assert tot_rates[0] < 0.05
         assert tot_rates[-1] > 0.9
@@ -69,7 +69,7 @@ class TestScenarioLibrary:
 
     def test_partial_information_outlives_resolution(self):
         cfg, records = run(sc.load("partial_information", n_trials=2000))
-        rows = summarize(records)
+        rows = summarize(records, cfg.recall.strength_threshold)
         row = rows[0]
         assert 0.0 < row.resolved_rate < 1.0
         assert row.slot_rates["first_letter"] > row.resolved_rate

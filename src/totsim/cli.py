@@ -38,8 +38,6 @@ from .output import (
 def _cmd_simulate(args) -> int:
     raw = load_raw_config(args.config)
     if args.seed is not None:
-        if not isinstance(raw, dict):
-            raise ConfigError("config", "top level must be a JSON object")
         raw["seed"] = args.seed
     cfg, defaults = parse_config(raw)
     if args.workers < 1:
@@ -131,10 +129,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TotsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TotsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

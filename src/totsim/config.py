@@ -331,15 +331,18 @@ def _unique_keys(pairs: list) -> dict:
 
 def load_raw_config(path) -> dict:
     """Read a scenario file as a raw dict, without validation beyond JSON
-    syntax and keys given once per object."""
+    syntax, a top level that is an object and keys given once per object."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config", "top level must be a JSON object")
+    return raw
 
 
 def _plain(value):

@@ -377,8 +377,9 @@ def exact_success_prob(
     output equals the reference.
 
     Masked units count 0 on input and output +1, so a reference that is -1
-    on a masked unit never succeeds. A network holding one undamaged
-    pattern p (`w_int` is outer(p, p)) takes the closed form at any size.
+    on a masked unit never succeeds. A network holding one pattern p,
+    undamaged on its live units (`w_int` is outer(p, p) with the masked
+    units' rows and columns zeroed), takes the closed form at any size.
     Any other network is counted with split sums, recomputing the forward
     pass independently of the attempt engine it validates; more than
     `_MAX_FREE_INDICES` free unmasked units raise CapacityError.
@@ -396,7 +397,8 @@ def exact_success_prob(
     live_cue = [i for i in live if i in cue]
     free = [i for i in live if i not in cue]
     if len(net.stored) == 1:
-        p = net.stored[0].units
+        p = net.stored[0].units.copy()
+        p[list(net.mask)] = 0  # a masked unit's weights are zero
         if np.array_equal(net.w_int, np.outer(p, p)):
             k = int(p[live_cue] @ ref[live_cue])
             return _one_pattern_success(p[live], ref[live], k, len(free))

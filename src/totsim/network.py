@@ -25,6 +25,12 @@ class ComponentNetwork:
     (lost stored information, trait-like), `apply_mask` silences whole units
     for one retrieval episode (incomplete activation, state-like). Instances
     are immutable; both return new networks.
+
+    A masked unit's row and column of `w_int` are zero: it adds nothing to
+    any activation, and its own activation is 0, which the tie rule turns
+    into +1. The constructor zeroes them for any `mask` it is
+    given, so every masked network obeys that one rule however it was
+    built; `mask` records which units are masked.
     """
 
     w_int: np.ndarray
@@ -38,29 +44,21 @@ class ComponentNetwork:
             raise ParameterError("weight matrix must be square")
         if not np.array_equal(w, w.T):
             raise ParameterError("weight matrix must be symmetric")
-        w = w.copy()
-        w.flags.writeable = False
-        object.__setattr__(self, "w_int", w)
         mask = frozenset(int(i) for i in self.mask)
         if mask and (min(mask) < 0 or max(mask) >= w.shape[0]):
             raise DimensionError("mask index out of range")
+        object.__setattr__(self, "w_int", _zeroed(w, list(mask)))
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "_mask_arr", np.array(sorted(mask), dtype=np.int64))
         object.__setattr__(self, "_held", None)
 
     @classmethod
-    def _of(cls, w_int, stored, damage_fraction=0.0, mask=frozenset(), mask_arr=None):
+    def _of(cls, w_int, stored, damage_fraction=0.0, mask=frozenset()):
         """A network on a read-only matrix that is already checked, with an
-        in-range mask whose units `mask_arr` lists once each, in any order
-        (None for no mask): the constructor without its copy and checks."""
+        in-range mask whose rows and columns of `w_int` are already zero:
+        the constructor without its copy and checks."""
         net = object.__new__(cls)
         net.__dict__.update(
-            w_int=w_int,
-            stored=stored,
-            damage_fraction=damage_fraction,
-            mask=mask,
-            _mask_arr=mask_arr,
-            _held=None,
+            w_int=w_int, stored=stored, damage_fraction=damage_fraction, mask=mask, _held=None
         )
         return net
 
@@ -71,11 +69,12 @@ class ComponentNetwork:
     def retrieve_once(self, probe: np.ndarray) -> np.ndarray:
         """One synchronous pass: output_i = sgn(sum_j W_ij probe_j).
 
-        Tie rule: sgn(0) = +1. Masked units contribute zero on the input
-        side and are forced to +1 on the output side. There is no iteration
-        to convergence; repetition happens at the attempt level. The
-        matrix is symmetric (checked when the network is built), so the
-        pass multiplies by it as it is, not by its transpose.
+        Tie rule: sgn(0) = +1. A masked unit's row and column of `w_int`
+        are zero, so it contributes nothing on the input side and outputs
+        +1; the pass needs no mask of its own. There is no iteration to
+        convergence; repetition happens at the attempt level. The matrix is
+        symmetric (checked when the network is built), so the pass
+        multiplies by it as it is, not by its transpose.
 
         `probe` is a +1/-1 unit array whose last axis has the n units: one
         row, or a `(rows, n)` block evaluated in one integer matmul. The
@@ -83,12 +82,7 @@ class ComponentNetwork:
         """
         if probe.shape[-1] != self.n:
             raise DimensionError(f"probe length {probe.shape[-1]} != network size {self.n}")
-        if self.mask:
-            probe = probe.copy()
-            probe[..., self._mask_arr] = 0
         out = np.where(probe @ self.w_int >= 0, 1, -1)
-        if self.mask:
-            out[..., self._mask_arr] = 1
         out.flags.writeable = False
         return out
 
@@ -99,8 +93,8 @@ class ComponentNetwork:
         The network holds its last row and answer in one slot, keyed by the
         row's bytes, so asking again for the same row costs a key
         comparison; another row takes the slot. The answer depends only on
-        the weights and the mask, which never change: a damaged or masked
-        network is a new object and starts with the slot empty.
+        the weights, which never change: a damaged or masked network is a
+        new object and starts with the slot empty.
         """
         if units.shape != (self.n,):
             raise DimensionError(f"probe shape {units.shape} is not one row of {self.n} units")
@@ -148,17 +142,26 @@ class ComponentNetwork:
         unrounded. The k = floor(fraction * n) units are those of the k
         smallest of n uniform keys, one `rng.random(n)` row drawn also when
         k is 0 or n (see `key_subset`). New mask indices are unioned with
-        any existing mask.
+        any existing mask. The masked network's `w_int` is a read-only copy
+        of this one's with the drawn units' rows and columns zeroed; this
+        network is left as it is.
         """
         if not 0 <= fraction <= 1:
             raise ParameterError(f"mask fraction must be in [0, 1], got {fraction}")
         drawn = key_subset(self.n, floor_count(fraction, self.n), rng)
         mask = self.mask.union(drawn.tolist())
-        # The drawn units are distinct, so they list an unmasked network's
-        # new mask as they are. The masked network shares this network's
-        # checked read-only matrix.
-        units = np.union1d(self._mask_arr, drawn) if self.mask else drawn
-        return ComponentNetwork._of(self.w_int, self.stored, self.damage_fraction, mask, units)
+        w = _zeroed(self.w_int, drawn)
+        return ComponentNetwork._of(w, self.stored, self.damage_fraction, mask)
+
+
+def _zeroed(w: np.ndarray, units) -> np.ndarray:
+    """A read-only copy of `w` with the rows and columns of `units` zeroed."""
+    w = w.copy()
+    if len(units):  # indexing with no units costs more than the copy
+        w[units, :] = 0
+        w[:, units] = 0
+    w.flags.writeable = False
+    return w
 
 
 def train(patterns) -> ComponentNetwork:

@@ -477,6 +477,23 @@ def test_summary_files_share_one_column_table(tmp_path):
         assert list(obj.values()) == [parse(cell) for (_, parse, _), cell in zip(table, cells)]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--out", "out"],
+        ["simulate", "--out", "out", "--seed", "3"],
+        ["oracle", "--word", "apple", "--component", "semantic", "--cue-size", "0"],
+        ["validate"],
+    ],
+    ids=["simulate", "simulate-seed", "oracle", "validate"],
+)
+def test_a_top_level_that_is_not_an_object_exits_2(args, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, [1, 2])
+    assert main([args[0], "--config", cfg, *args[1:]]) == 2
+    assert capsys.readouterr().err == "config error: config: top level must be a JSON object\n"
+
+
 class TestBundledConfigs:
     def test_every_bundled_config_validates(self, capsys):
         import pathlib
@@ -505,6 +522,9 @@ class TestBundledConfigs:
 
     def test_scenarios_are_read_by_the_config_reader(self, tmp_path, monkeypatch):
         (tmp_path / "twice.json").write_text('{"seed": 1, "seed": 2}')
+        (tmp_path / "listed.json").write_text("[1, 2]")
         monkeypatch.setattr(sc, "CONFIGS", tmp_path)
         with pytest.raises(ConfigError, match="given more than once"):
             sc.load("twice")
+        with pytest.raises(ConfigError, match="top level must be a JSON object"):
+            sc.load("listed", n_trials=5)

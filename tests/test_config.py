@@ -450,6 +450,17 @@ class TestRepeatedKeys:
         assert load_raw_config(config) == raw
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", "7", '"seed"', "null"])
+def test_a_top_level_that_is_not_an_object_is_rejected(tmp_path, text):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    with pytest.raises(ConfigError, match="top level must be a JSON object") as e:
+        load_raw_config(config)
+    assert path_of(e) == "config"
+    with pytest.raises(ConfigError, match="top level must be a JSON object"):
+        parse_config(json.loads(text))
+
+
 def generated_raw(count, **overrides):
     raw = {
         "seed": 1,

@@ -498,6 +498,15 @@ class TestExactSuccessProb:
         assert exact_success_prob(net, p, []) == want
         assert exact_success_prob(net.damage(0.0, default_rng(0)), p, []) == want
 
+    def test_masked_undamaged_network_answers_at_any_size(self):
+        # 50 of 200 units masked, no cue: the 150 live units are all free.
+        rng = default_rng(SeedSequence(67))
+        p = random_pattern(200, rng)
+        net = train([p]).apply_mask(0.25, rng)
+        up = BipolarPattern([1 if i in net.mask else u for i, u in enumerate(p.units)])
+        want = Fraction(sum(math.comb(150, b) for b in range(76, 151)), 2**150)
+        assert exact_success_prob(net, up, []) == want
+
     def test_cap_counts_only_enumerated_units(self):
         # 28 units, 4 of them masked: 24 are enumerated.
         rng = default_rng(SeedSequence(37))

@@ -236,8 +236,9 @@ class TestApplyMask:
             net.apply_mask(2.0, default_rng(0))
 
     def test_mask_equals_zeroed_rows_and_columns(self):
-        # Masking is equivalent to zeroing the masked rows and columns
-        # (the tie rule then forces masked outputs to +1).
+        # Masking is zeroing the masked rows and columns (the tie rule then
+        # outputs +1 on them), whether the mask is drawn or given to the
+        # constructor, and damaging a masked network keeps them zero.
         rng = default_rng(SeedSequence(20))
         pats = [random_pattern(7, rng) for _ in range(2)]
         net = train(pats)
@@ -247,28 +248,43 @@ class TestApplyMask:
         idx = sorted(masked.mask)
         w[idx, :] = 0
         w[:, idx] = 0
+        built = ComponentNetwork(net.w_int, net.stored, mask=masked.mask)
+        assert np.array_equal(masked.w_int, w) and np.array_equal(built.w_int, w)
+        damaged = masked.damage(0.5, default_rng(31))
+        assert damaged.mask == masked.mask
+        assert not damaged.w_int[idx, :].any() and not damaged.w_int[:, idx].any()
         zeroed = ComponentNetwork(w, net.stored)
         for probe in all_probes(7):
             assert np.array_equal(masked.retrieve_once(probe), zeroed.retrieve_once(probe))
 
-    def test_masked_network_shares_the_matrix_and_draws_once(self):
+    def test_masking_zeroes_a_copy_and_draws_once(self):
         """The mask is the units of the k smallest of one row of 15 uniform
         keys, a row drawn also when k is 0 or 15, and the stream ends where
-        drawing that row leaves it, with or without a uint32 buffered."""
-        net = train([random_pattern(15, default_rng(25))]).damage(0.2, default_rng(26))
-        for fraction, k in ((0.375, 5), (0.0, 0), (1.0, 15)):  # floor(0.375 * 15) = 5
-            for buffered in (False, True):
-                rng, twin = default_rng(27), default_rng(27)
-                if buffered:
-                    for g in (rng, twin):
-                        g.integers(0, 2**32, dtype=np.uint32)
-                masked = net.apply_mask(fraction, rng)
-                assert masked.w_int is net.w_int
-                want = np.argpartition(twin.random(15), k - 1)[:k]
-                assert masked.mask == frozenset(want.tolist()) and len(masked.mask) == k
-                assert rng.bit_generator.state == twin.bit_generator.state
-                assert masked.stored is net.stored
-                assert masked.damage_fraction == net.damage_fraction and net.mask == frozenset()
+        drawing that row leaves it, with or without a uint32 buffered. The
+        masked network's matrix is a read-only copy of the parent's with the
+        rows and columns of the whole mask zeroed, and the parent's matrix
+        is left as it was, also when the parent is itself masked."""
+        damaged = train([random_pattern(15, default_rng(25))]).damage(0.2, default_rng(26))
+        for net in (damaged, damaged.apply_mask(0.2, default_rng(30))):
+            before, mask = net.w_int.copy(), net.mask
+            for fraction, k in ((0.4, 6), (0.0, 0), (1.0, 15)):  # floor(0.4 * 15) = 6
+                for buffered in (False, True):
+                    rng, twin = default_rng(27), default_rng(27)
+                    if buffered:
+                        for g in (rng, twin):
+                            g.integers(0, 2**32, dtype=np.uint32)
+                    masked = net.apply_mask(fraction, rng)
+                    want = np.argpartition(twin.random(15), k - 1)[:k]
+                    assert masked.mask == net.mask | frozenset(want.tolist())
+                    assert rng.bit_generator.state == twin.bit_generator.state
+                    assert masked.stored is net.stored
+                    assert masked.damage_fraction == net.damage_fraction
+                    zeroed = before.copy()
+                    zeroed[sorted(masked.mask), :] = 0
+                    zeroed[:, sorted(masked.mask)] = 0
+                    assert np.array_equal(masked.w_int, zeroed)
+                    assert np.array_equal(net.w_int, before) and net.mask == mask
+                    assert not masked.w_int.flags.writeable and not net.w_int.flags.writeable
 
     @pytest.mark.parametrize("n, k", [(5, 2), (6, 3)])
     def test_masks_are_uniform_over_the_subsets(self, n, k):
